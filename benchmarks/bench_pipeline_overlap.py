@@ -1,25 +1,22 @@
-"""Pipeline-overlap benchmark: serial vs. overlapped vs. threaded.
+"""Pipeline-overlap benchmark: serial vs. overlapped vs. worker pool.
 
-Measures the execute stage's three operating points on a
-partition-stressed device (so the run actually has a long stream of
-FPGA partitions to pipeline):
+Measures the execute stage's operating points on a partition-stressed
+device (so the run actually has a long stream of FPGA partitions to
+pipeline):
 
 ``serial``
     ``workers=1, buffers=1`` — the original flat model and inline loop.
 ``overlapped``
     ``workers=1, buffers=2`` — modeled double-buffered transfer/compute
-    overlap, still single-threaded.
-``threaded``
-    ``workers=4, buffers=2`` — the worker pool on top of the overlap
-    model.
+    overlap, still inline.
 ``process``
-    ``workers=4, buffers=2, pool=process`` — the process pool fed by
-    the zero-copy shared-memory CST plane (descriptors over named
+    ``workers=4, buffers=2`` — the warm worker pool fed by the
+    zero-copy shared-memory CST plane (descriptors over named
     segments; see docs/runtime.md).
 ``process_pickled``
-    The same process pool with the shm plane disabled, so every task
-    pickles its full CST payload through the call pipe — the legacy
-    behaviour the arena exists to beat.
+    The same pool with its shared-memory arena made unavailable, so
+    every task pickles its full CST payload through the call pipe —
+    the fallback the arena exists to beat.
 
 Standalone usage (CI's perf-smoke job runs ``--check``)::
 
@@ -28,19 +25,28 @@ Standalone usage (CI's perf-smoke job runs ``--check``)::
     python benchmarks/bench_pipeline_overlap.py --check    # gate vs baseline
 
 ``--check`` compares against the committed ``BENCH_overlap.json`` with
-*ratio* gates: the current threaded speedup (serial wall / threaded
-wall) and process speedup (pickled-process wall / shm-process wall) may
-not regress past ``REGRESSION_FACTOR`` times below the baseline's.
-Gating on ratios rather than absolute wall time keeps the job
-meaningful across machines with different core counts. The device is
+a *ratio* gate: the process speedup (pickled-process CPU / shm-process
+CPU) may not regress past ``REGRESSION_FACTOR`` times below the
+baseline's. ``process_wall_speedup`` (overlapped wall / process wall:
+same buffers, inline vs. pool) is reported, not gated — on a 2-CPU
+host the pool does not beat the inline loop, which is why
+``--workers`` defaults to 1. Gating on ratios rather than absolute
+wall time keeps the job meaningful across machines with different core
+counts. The device is
 deliberately tiny (4 KB BRAM, 4 ports) so DG-MINI/q1 shatters into
 ~1.3k partitions: the shm plane's per-task savings only show on a long
 partition stream.
 
-The process speedup is computed over *CPU seconds* (parent plus reaped
-pool workers), not wall clock: serialization is pure CPU work, and CPU
+The process speedup is computed over *CPU seconds* (parent plus the
+warm pool's workers, read from ``/proc`` because live workers are
+never reaped), not wall clock: serialization is pure CPU work, and CPU
 time is immune to the scheduler noise that dominates wall time when
 four worker processes contend for few cores.
+
+Sampling: every mode keeps one warm context; the timed runs are
+interleaved round by round (alternating the mode order) and each mode
+reports its median. A failing ``--check`` is re-measured once and
+fails only if the rerun fails too.
 """
 
 from __future__ import annotations
@@ -49,20 +55,25 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import sys
 import time
+import warnings
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 from repro.common.io import atomic_write_json
 from repro.experiments.harness import HarnessConfig, make_context
 from repro.fpga.config import FpgaConfig
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.runtime import shm
 from repro.runtime.registry import REGISTRY
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_overlap.json"
 
-#: Allowed threaded-speedup regression vs. the committed baseline.
+#: Allowed process-speedup regression vs. the committed baseline.
 REGRESSION_FACTOR = 1.2
 
 DATASET = "DG-MINI"
@@ -74,85 +85,130 @@ BACKEND = "fast-share"
 #: stream that per-task dispatch costs (the pickle tax) dominate.
 BENCH_FPGA = FpgaConfig(bram_bytes=4 * 1024, batch_size=16, max_ports=4)
 
-#: The operating points, in reporting order.
-MODES: dict[str, dict] = {
-    "serial": {"workers": 1, "buffers": 1},
-    "overlapped": {"workers": 1, "buffers": 2},
-    "threaded": {"workers": 4, "buffers": 2},
-    "process": {"workers": 4, "buffers": 2, "pool": "process"},
-    "process_pickled": {
-        "workers": 4, "buffers": 2, "pool": "process", "shm": False,
-    },
+#: The operating points, in reporting order: (knobs, arena available?).
+MODES: dict[str, tuple[dict, bool]] = {
+    "serial": ({"workers": 1, "buffers": 1}, True),
+    "overlapped": ({"workers": 1, "buffers": 2}, True),
+    "process": ({"workers": 4, "buffers": 2}, True),
+    "process_pickled": ({"workers": 4, "buffers": 2}, False),
 }
 
 
-def _cpu_seconds() -> float:
-    """Cumulative user+system CPU of this process and reaped children.
+def _no_arena(*args, **kwargs):
+    raise OSError("shared-memory arena disabled by the benchmark")
 
-    Pool workers are joined at executor shutdown inside each run, so a
-    delta across one run includes everything the run's workers burned.
-    """
+
+def _cpu_seconds() -> float:
+    """Cumulative user+system CPU of this process and reaped children."""
     self_ru = resource.getrusage(resource.RUSAGE_SELF)
     child_ru = resource.getrusage(resource.RUSAGE_CHILDREN)
     return (self_ru.ru_utime + self_ru.ru_stime
             + child_ru.ru_utime + child_ru.ru_stime)
 
 
-def _measure_mode(knobs: dict, repeats: int) -> dict:
-    """Best-of-``repeats`` wall and CPU time of one warm-cache run."""
-    config = HarnessConfig(fpga=BENCH_FPGA, **knobs)
+def _worker_cpu_seconds(ctx) -> float:
+    """User+system CPU of the context's live pool workers.
+
+    Warm workers outlive every run, so ``RUSAGE_CHILDREN`` never sees
+    them; their ``/proc/<pid>/stat`` does (0 where ``/proc`` is
+    absent, which under-counts the pool modes).
+    """
+    pool = ctx.worker_pool
+    if pool is None:
+        return 0.0
+    ticks = 0
+    for pid in pool.worker_pids():
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        ticks += int(fields[11]) + int(fields[12])  # utime + stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+def _timed_run(ctx, arena: bool) -> tuple[float, float, object]:
+    """Wall and CPU seconds of one run on ``ctx``.
+
+    ``arena=False`` makes the pool's shared-memory arena unavailable,
+    so CSTs reach the workers pickled.
+    """
     dataset = load_dataset(DATASET)
     query = get_query(QUERY)
-    spec = REGISTRY.get(BACKEND)
-    ctx = make_context(config)
+    with ExitStack() as stack:
+        if not arena:
+            stack.enter_context(
+                mock.patch.object(shm, "CstArena", _no_arena)
+            )
+            stack.enter_context(warnings.catch_warnings())
+            warnings.simplefilter("ignore", RuntimeWarning)
+        t0 = time.perf_counter()
+        c0 = _cpu_seconds() + _worker_cpu_seconds(ctx)
+        out = REGISTRY.get(BACKEND).run(ctx, query.graph, dataset.graph)
+        cpu = _cpu_seconds() + _worker_cpu_seconds(ctx) - c0
+        return time.perf_counter() - t0, cpu, out
+
+
+def _measure_modes(repeats: int) -> dict:
+    """Median wall and CPU time of ``repeats`` warm-cache runs per
+    mode, interleaved across modes."""
+    contexts = {}
+    samples: dict[str, list] = {name: [] for name in MODES}
     try:
-        # Warm the CST/partition cache so the timed runs are dominated
-        # by the execute stage (the part the executor changes).
-        out = spec.run(ctx, query.graph, dataset.graph)
-        best_wall = best_cpu = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            c0 = _cpu_seconds()
-            out = spec.run(ctx, query.graph, dataset.graph)
-            best_cpu = min(best_cpu, _cpu_seconds() - c0)
-            best_wall = min(best_wall, time.perf_counter() - t0)
+        for name, (knobs, arena) in MODES.items():
+            contexts[name] = make_context(
+                HarnessConfig(fpga=BENCH_FPGA, **knobs)
+            )
+            # Warm the CST/partition cache (and fork the pool) so the
+            # timed runs are dominated by the execute stage.
+            _timed_run(contexts[name], arena)
+        for round_ in range(repeats):
+            order = list(MODES) if round_ % 2 == 0 else list(MODES)[::-1]
+            for name in order:
+                samples[name].append(
+                    _timed_run(contexts[name], MODES[name][1])
+                )
     finally:
-        ctx.close()
-    execute = out.metrics["stages"]["execute"]
-    return {
-        **knobs,
-        "wall_seconds": best_wall,
-        "cpu_seconds": best_cpu,
-        "modeled_seconds": out.seconds,
-        "execute_modeled_seconds": execute["modeled_seconds"],
-        "cst_plane": execute.get("cst_plane"),
-        "fpga_partitions": execute.get("num_csts", 0),
-        "embeddings": out.embeddings,
-    }
+        for ctx in contexts.values():
+            ctx.close()
+    modes = {}
+    for name, (knobs, arena) in MODES.items():
+        walls, cpus, outs = zip(*samples[name])
+        out = outs[-1]
+        execute = out.metrics["stages"]["execute"]
+        modes[name] = {
+            **knobs,
+            "arena": arena,
+            "wall_seconds": statistics.median(walls),
+            "cpu_seconds": statistics.median(cpus),
+            "modeled_seconds": out.seconds,
+            "execute_modeled_seconds": execute["modeled_seconds"],
+            "cst_plane": execute.get("cst_plane"),
+            "fpga_partitions": execute.get("num_csts", 0),
+            "embeddings": out.embeddings,
+        }
+    return modes
 
 
-def collect(repeats: int = 3) -> dict:
+def collect(repeats: int = 5) -> dict:
     """Measure every mode and derive the headline ratios."""
-    modes = {
-        name: _measure_mode(knobs, repeats)
-        for name, knobs in MODES.items()
-    }
+    modes = _measure_modes(repeats)
     counts = {m["embeddings"] for m in modes.values()}
     if len(counts) != 1:
         raise AssertionError(
             f"embedding counts diverged across modes: {counts}"
         )
-    serial, overlapped, threaded = (
-        modes["serial"], modes["overlapped"], modes["threaded"]
-    )
+    serial, overlapped = modes["serial"], modes["overlapped"]
     return {
         "dataset": DATASET,
         "query": QUERY,
         "backend": BACKEND,
         "cpus": os.cpu_count(),
         "modes": modes,
-        "threaded_speedup": (
-            serial["wall_seconds"] / threaded["wall_seconds"]
+        # Reported, not gated: does the pool beat the inline loop at
+        # equal buffers on this host?
+        "process_wall_speedup": (
+            overlapped["wall_seconds"] / modes["process"]["wall_seconds"]
         ),
         # The shm plane's headline: same process pool, same tasks, the
         # only difference is descriptors vs. pickled array payloads.
@@ -170,13 +226,6 @@ def collect(repeats: int = 3) -> dict:
 def check(payload: dict, baseline: dict) -> list[str]:
     """Gate failures of ``payload`` against the committed baseline."""
     failures: list[str] = []
-    floor = baseline["threaded_speedup"] / REGRESSION_FACTOR
-    if payload["threaded_speedup"] < floor:
-        failures.append(
-            f"threaded speedup {payload['threaded_speedup']:.3f} fell "
-            f"below {floor:.3f} (baseline "
-            f"{baseline['threaded_speedup']:.3f} / {REGRESSION_FACTOR})"
-        )
     process_floor = baseline["process_speedup"] / REGRESSION_FACTOR
     if payload["process_speedup"] < process_floor:
         failures.append(
@@ -204,12 +253,12 @@ def check(payload: dict, baseline: dict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="fail if the threaded speedup regressed "
+                        help="fail if the process speedup regressed "
                              f"past {REGRESSION_FACTOR}x below the "
                              "committed baseline")
     parser.add_argument("--write", action="store_true",
                         help="refresh the committed baseline JSON")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
     payload = collect(repeats=args.repeats)
@@ -222,16 +271,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         baseline = json.loads(BASELINE_PATH.read_text())
         failures = check(payload, baseline)
+        if failures:
+            print("gate failed; re-measuring once to confirm",
+                  file=sys.stderr)
+            payload = collect(repeats=args.repeats)
+            failures = check(payload, baseline)
         for line in failures:
             print(f"FAIL: {line}", file=sys.stderr)
         if failures:
             return 1
         print(
-            f"OK: threaded speedup {payload['threaded_speedup']:.3f} "
-            f"(baseline {baseline['threaded_speedup']:.3f}), process "
-            f"speedup {payload['process_speedup']:.3f} (baseline "
-            f"{baseline['process_speedup']:.3f}), overlap modeled "
-            f"ratio {payload['overlap_modeled_ratio']:.6f}",
+            f"OK: process speedup {payload['process_speedup']:.3f} "
+            f"(baseline {baseline['process_speedup']:.3f}), process "
+            f"wall speedup {payload['process_wall_speedup']:.3f} "
+            f"(reported), overlap modeled ratio "
+            f"{payload['overlap_modeled_ratio']:.6f}",
             file=sys.stderr,
         )
     return 0
@@ -251,17 +305,17 @@ def test_overlap_modes_agree_and_never_slower_modeled(benchmark):
     assert len(counts) == 1, counts
     # The double-buffered model can only hide time, never add it.
     assert payload["overlap_modeled_ratio"] <= 1.0 + 1e-9
-    # Neither worker count nor pool/shm choice may leak into the
+    # Neither the worker count nor the CST plane may leak into the
     # modeled domain.
-    for name in ("threaded", "process", "process_pickled"):
+    for name in ("process", "process_pickled"):
         assert modes[name]["modeled_seconds"] == (
             modes["overlapped"]["modeled_seconds"]
         ), name
     assert modes["process"]["cst_plane"] == "shm"
     assert modes["process_pickled"]["cst_plane"] == "pickle"
     print(
-        f"\nthreaded speedup: {payload['threaded_speedup']:.3f}, "
-        f"process speedup: {payload['process_speedup']:.3f} "
+        f"\nprocess speedup: {payload['process_speedup']:.3f}, "
+        f"process wall speedup: {payload['process_wall_speedup']:.3f} "
         f"({payload['cpus']} cpus)"
     )
 

@@ -91,29 +91,18 @@ class FatalDeviceError(DeviceError):
 
 
 class WorkerCrashError(ReproError):
-    """A host worker process died while partition tasks were in flight.
+    """A host worker process failed in a way the pool cannot recover.
 
-    This is a *host* fault (OOM kill, segfault, operator ``kill -9``),
-    not a modeled device fault: it changes wall-clock time only, never
+    Host faults (OOM kill, segfault, operator ``kill -9``) are not
+    modeled device faults: they change wall-clock time only, never
     counts or modeled seconds. The supervised worker pool
-    (:mod:`repro.runtime.pool`) respawns the worker and re-dispatches
-    the lost tasks; the legacy ``ProcessPoolExecutor`` path re-runs
-    them inline serially once. Only when those recoveries themselves
-    fail does this error propagate.
+    (:mod:`repro.runtime.pool`) respawns a dead worker, re-dispatches
+    its tasks and finally runs them inline; this error surfaces only
+    for a failed task whose exception did not survive the trip back
+    from the worker.
     """
 
     transient = True
-
-
-class WorkerShmLost(WorkerCrashError):
-    """A worker lost its view of the shared-memory CST plane.
-
-    The segment a task's descriptors point at is gone from the
-    worker's perspective (unlinked externally, or injected via the
-    host-fault plane). The pool re-dispatches the task with a pickled
-    CST payload so the run completes bit-identically; the error
-    propagates only when no pickled fallback is available.
-    """
 
 
 class SchedulerError(ReproError):

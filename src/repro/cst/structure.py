@@ -267,7 +267,7 @@ class CST:
         return self.adjacency[(a, b)].contains(i, j)
 
     # ------------------------------------------------------------------
-    # Shared-memory descriptors (zero-copy process-pool handoff)
+    # Shared-memory descriptors (zero-copy worker-pool handoff)
     # ------------------------------------------------------------------
 
     def to_descriptor(self, arena: Any) -> CstDescriptor:

@@ -66,25 +66,13 @@ class HarnessConfig:
     #: Retry budget for transient device faults (``None`` keeps the
     #: :class:`~repro.runtime.faults.RetryPolicy` default).
     max_retries: int | None = None
-    #: Worker-pool width of the execute stage (wall-clock only;
-    #: modeled seconds never depend on it).
+    #: Worker-pool width of the execute stage (1 = inline; more forks
+    #: the warm supervised pool). Wall-clock only: modeled seconds
+    #: never depend on it.
     workers: int = 1
     #: On-card staging buffers of the modeled transfer/compute overlap
     #: pipeline (1 = the flat serial sum, the original model).
     buffers: int = 1
-    #: Pool implementation for ``workers > 1`` (``thread``/``process``).
-    pool: str = "thread"
-    #: Whether process-pool dispatch may use the zero-copy shared-
-    #: memory CST plane (wall-clock only; off = legacy pickled handoff).
-    shm: bool = True
-    #: Whether ``pool="process"`` runs through the warm supervised
-    #: worker pool (workers forked once per context, host faults
-    #: recovered). Off = a cold ``ProcessPoolExecutor`` per execute
-    #: stage, the pre-pool baseline. Wall-clock only.
-    warm_pool: bool = True
-    #: Consecutive partitions grouped into one warm-pool dispatch
-    #: (``--task-chunk``; 1 = one task per partition).
-    task_chunk: int = 1
     #: Tasks a warm worker serves before recycling (``--pool-ttl``;
     #: 0 = never).
     pool_ttl: int = 0
@@ -254,10 +242,6 @@ def make_context(
         executor=ExecutorConfig(
             workers=config.workers,
             buffers=config.buffers,
-            pool=config.pool,
-            shm=config.shm,
-            warm=config.warm_pool,
-            task_chunk=config.task_chunk,
             pool_ttl=config.pool_ttl,
             watchdog_s=config.pool_watchdog_s,
         ),

@@ -63,7 +63,7 @@ def run_families(prefix: str = "fast") -> tuple[FamilySpec, ...]:
         FamilySpec(
             f"{p}_executor_info", "gauge",
             "One labeled series describing execute-stage dispatch: the "
-            "requested and effective worker pool and the CST plane "
+            "worker pool (inline or process) and the CST plane "
             "(shm, pickle, or local) tasks crossed it on.",
         ),
         FamilySpec(f"{p}_embeddings_found", "counter",
@@ -329,10 +329,6 @@ def build_run_registry(
         reg.set(f"{p}_executor_info", {
             **base,
             "pool": str(execute.get("pool", "")),
-            "pool_effective": str(
-                execute.get("executor_pool_effective",
-                            execute.get("pool", ""))
-            ),
             "cst_plane": str(execute.get("cst_plane", "local")),
             "workers": str(execute.get("workers", 1)),
         }, 1.0)

@@ -25,9 +25,9 @@ from repro.runtime.context import (
 )
 from repro.runtime.executor import (
     ExecutorConfig,
-    PartitionExecutor,
     PartitionOutcome,
     overlap_timeline,
+    run_tasks,
 )
 from repro.runtime.faults import (
     FAULT_KINDS,
@@ -69,7 +69,6 @@ __all__ = [
     "FaultPlan",
     "HealthReport",
     "MergedRun",
-    "PartitionExecutor",
     "PartitionOutcome",
     "RetryPolicy",
     "RunContext",
@@ -85,6 +84,7 @@ __all__ = [
     "partition_stage",
     "passthrough_partition_stage",
     "plan_stage",
+    "run_tasks",
     "schedule_stage",
     *_REGISTRY_EXPORTS,
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -37,7 +38,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.journal import DeviceHealthLedger, RunJournal
 from repro.runtime.pool import PoolConfig, WorkerPool
-from repro.runtime.shm import CstArena
 from repro.runtime.tracing import MODELED, WALL, Tracer
 
 #: Canonical stage order of the pipeline (documented in docs/runtime.md).
@@ -333,25 +333,19 @@ class RunContext:
     history: list[RunMetrics] = field(default_factory=list)
     #: Cap on ``history`` so long sweeps do not grow without bound.
     max_history: int = 512
-    #: Shared-memory CST plane for process-pool dispatch
-    #: (:mod:`repro.runtime.shm`). Created lazily by
-    #: :meth:`ensure_arena` on the first process-pool execute; a
-    #: caller may also inject a longer-lived arena (the serving layer
-    #: shares one across coalesced batches), in which case this
-    #: context never closes it.
-    arena: CstArena | None = None
-    #: Whether :meth:`close` owns ``arena`` (set by ``ensure_arena``;
-    #: injected arenas stay owned by their creator).
-    arena_owned: bool = field(default=False, repr=False)
-    #: Warm supervised worker pool for ``--pool process`` dispatch
-    #: (:mod:`repro.runtime.pool`). Created lazily by
-    #: :meth:`ensure_pool`; the serving layer injects one shared pool
-    #: into every job context so workers survive across batches, in
-    #: which case this context never closes it. Wall-clock only.
+    #: Warm supervised worker pool for ``workers > 1`` dispatch
+    #: (:mod:`repro.runtime.pool`), which also owns the shared-memory
+    #: CST plane. Created lazily by :meth:`ensure_pool`; the serving
+    #: layer injects one shared pool into every job context so workers
+    #: survive across batches, in which case this context never
+    #: closes it. Wall-clock only.
     worker_pool: WorkerPool | None = None
-    #: Whether :meth:`close` owns ``worker_pool`` (mirrors
-    #: ``arena_owned``).
+    #: Whether :meth:`close` owns ``worker_pool`` (injected pools stay
+    #: owned by their creator).
     worker_pool_owned: bool = field(default=False, repr=False)
+    #: Set once forking a pool failed: the context then runs inline
+    #: without retrying the fork on every stage.
+    pool_unavailable: bool = field(default=False, init=False, repr=False)
     #: Injected *host* fault schedule (worker kills/stalls/shm loss)
     #: applied by the warm pool's workers; ``None`` runs host-fault
     #: free. Strictly wall-clock: never part of fingerprints.
@@ -453,68 +447,64 @@ class RunContext:
                     st.modeled_seconds - modeled_bucket0, clock=MODELED,
                 )
 
-    def ensure_arena(self) -> CstArena | None:
-        """The shared-memory CST plane, created on first use.
-
-        Returns ``None`` when shared memory is unavailable on the
-        platform (the execute stage then falls back to pickled
-        process-pool payloads — same results, legacy wall clock).
-        """
-        if self.arena is not None and not self.arena.closed:
-            return self.arena
-        try:
-            self.arena = CstArena()
-        except OSError:
-            self.arena = None
-            return None
-        self.arena_owned = True
-        return self.arena
-
     def ensure_pool(self) -> WorkerPool | None:
         """The warm supervised worker pool, created on first use.
 
-        Returns ``None`` when the executor config does not call for
-        one (serial runs, thread pools, or ``warm=False`` — the cold
-        per-stage ``ProcessPoolExecutor`` baseline). Created after
-        :meth:`ensure_arena` on the execute path, so freshly forked
-        workers inherit the arena's attachments; segments placed
-        later are attached on demand inside the workers.
+        Returns ``None`` for serial runs (``workers == 1``) and when
+        the workers cannot be forked. The latter is a ``pool_downgrade``:
+        warned and logged once under the run's ``request_id``, after
+        which the context runs inline — same results, serial wall
+        clock.
         """
         cfg = self.executor
-        if cfg.pool != "process" or cfg.workers <= 1 or not cfg.warm:
+        if cfg.workers <= 1 or self.pool_unavailable:
             return None
         if self.worker_pool is not None:
             return self.worker_pool
+        pool = None
         try:
-            self.worker_pool = WorkerPool(PoolConfig(
+            pool = WorkerPool(PoolConfig(
                 workers=cfg.workers,
                 ttl=cfg.pool_ttl,
-                chunk=cfg.task_chunk,
                 watchdog_s=cfg.watchdog_s,
                 host_faults=self.host_fault_plan,
             ))
-        except OSError:  # pragma: no cover - fork unavailable
-            self.worker_pool = None
+            # Fork now, so a failing fork downgrades here rather than
+            # surfacing mid-dispatch.
+            pool.ensure_workers()
+        except OSError as exc:
+            if pool is not None:
+                pool.close()  # reap any worker that did fork
+            self.pool_unavailable = True
+            warnings.warn(
+                f"worker pool unavailable ({exc!r}); running inline",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            if self.log is not None:
+                self.log.warning(
+                    "pool_downgrade",
+                    request_id=self.tracer.request_id,
+                    error=repr(exc),
+                )
             return None
+        self.worker_pool = pool
         self.worker_pool_owned = True
-        return self.worker_pool
+        return pool
 
     def close(self) -> None:
         """Release owned resources (idempotent).
 
-        Closes the journal, stops an owned worker pool, and unlinks
-        an owned arena's shared-memory segments — but only resources
-        this context created itself; injected (serving-layer) pools
-        and arenas outlive the job context that borrowed them.
+        Closes the journal and stops an owned worker pool, which
+        unlinks its shared-memory segments — but only resources this
+        context created itself; an injected (serving-layer) pool
+        outlives the job context that borrowed it.
         """
         if self.journal is not None:
             self.journal.close()
         if self.worker_pool is not None and self.worker_pool_owned:
             self.worker_pool.close()
             self.worker_pool = None
-        if self.arena is not None and self.arena_owned:
-            self.arena.close()
-            self.arena = None
 
     def host_seconds(self, ops: int, data: Graph) -> float:
         """Modeled host time for ``ops`` index operations on ``data``."""

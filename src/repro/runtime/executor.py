@@ -24,15 +24,14 @@ buffer. This module provides both halves of that design:
     overlap rule — and it is monotonically non-increasing in
     ``buffers`` (more staging never hurts).
 
-:class:`PartitionExecutor`
-    Real wall-clock concurrency: a bounded worker pool that runs
-    independent partition tasks (FPGA kernel simulation and CPU-share
-    host matching alike) and returns their results in submission
-    order, so merging is deterministic regardless of scheduling.
-    ``pool="thread"`` shares memory and suits the numpy-bound kernel
-    paths; ``pool="process"`` forks workers and sidesteps the GIL for
-    Python-bound workloads (tasks must then be module-level functions
-    with picklable arguments).
+:func:`run_tasks`
+    Real wall-clock concurrency: independent partition tasks (FPGA
+    kernel simulation and CPU-share host matching alike) run inline
+    at ``workers = 1`` and on the warm supervised
+    :class:`~repro.runtime.pool.WorkerPool` otherwise; results come
+    back in submission order, so merging is deterministic regardless
+    of scheduling. Tasks are module-level functions with picklable
+    arguments; the pool ships their CSTs over shared memory.
 
 Modeled seconds never depend on ``workers`` — the worker pool changes
 only wall-clock time. ``buffers`` changes only modeled seconds. The
@@ -41,81 +40,36 @@ two knobs are deliberately orthogonal.
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.common.errors import DeviceError, WorkerCrashError
-from repro.runtime.pool import Task, install_parent_death_tether
-
-#: Recognised pool implementations.
-POOL_MODES = ("thread", "process")
+from repro.common.errors import DeviceError
+from repro.runtime.pool import Task, WorkerPool
 
 __all__ = [
     "ExecutorConfig",
-    "PartitionExecutor",
     "PartitionOutcome",
     "Task",
     "overlap_schedule",
     "overlap_timeline",
+    "run_tasks",
 ]
-
-
-def _process_worker_init() -> None:  # pragma: no cover - worker side
-    """Tie each pool worker's lifetime to its parent.
-
-    A SIGKILLed parent (the crash-injection tests, a real OOM kill)
-    must not leave orphaned workers behind: they would pin the
-    ``multiprocessing`` resource tracker's pipe open and delay the
-    cleanup of shared-memory segments indefinitely. On Linux,
-    ``PR_SET_PDEATHSIG`` delivers SIGKILL to the worker the moment
-    its parent dies; elsewhere (or if ``prctl`` fails) a parent-pid
-    polling thread makes orphans self-exit, so the tether is never a
-    silent no-op.
-    """
-    try:
-        install_parent_death_tether()
-    except Exception:
-        pass
 
 
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Concurrency and overlap knobs of the execute stage.
 
-    ``workers`` bounds the worker pool that runs independent partition
-    tasks concurrently (1 = inline serial execution, the default).
-    ``buffers`` is the number of on-card partition staging buffers in
-    the modeled timeline (1 = no transfer/compute overlap, the
-    original flat ``pcie + kernel`` sum). ``pool`` picks the wall-clock
-    concurrency mechanism for ``workers > 1``.
+    ``workers`` sizes the warm worker pool that runs independent
+    partition tasks concurrently (1 = inline serial execution, the
+    default). ``buffers`` is the number of on-card partition staging
+    buffers in the modeled timeline (1 = no transfer/compute overlap,
+    the original flat ``pcie + kernel`` sum).
     """
 
     workers: int = 1
     buffers: int = 1
-    pool: str = "thread"
-    #: Whether process-pool dispatch may use the zero-copy shared-
-    #: memory CST plane (:mod:`repro.runtime.shm`). Off, partitions
-    #: cross the process boundary pickled — the legacy handoff, kept
-    #: as a benchmark baseline and an escape hatch. Wall-clock only:
-    #: modeled seconds, counts, and fingerprints ignore this knob.
-    shm: bool = True
-    #: Whether ``pool="process"`` dispatch goes through the warm
-    #: supervised :class:`~repro.runtime.pool.WorkerPool` owned by the
-    #: run context (workers forked once, reused across stages and
-    #: serve batches, host faults recovered). Off, each run forks a
-    #: fresh ``ProcessPoolExecutor`` — the cold baseline the warm-pool
-    #: benchmark gates against.
-    warm: bool = True
-    #: Consecutive partitions grouped into one dispatch unit of the
-    #: warm pool (1 = one task per partition). Cuts per-task dispatch
-    #: overhead on long partition streams.
-    task_chunk: int = 1
     #: Tasks a warm worker serves before it is recycled (0 = never).
     pool_ttl: int = 0
     #: Wall-clock silence budget (seconds) before an in-flight warm-
@@ -128,12 +82,6 @@ class ExecutorConfig:
             raise DeviceError("executor workers must be >= 1")
         if self.buffers < 1:
             raise DeviceError("executor buffers must be >= 1")
-        if self.pool not in POOL_MODES:
-            raise DeviceError(
-                f"unknown pool mode {self.pool!r}; choose from {POOL_MODES}"
-            )
-        if self.task_chunk < 1:
-            raise DeviceError("executor task_chunk must be >= 1")
         if self.pool_ttl < 0:
             raise DeviceError("executor pool_ttl must be >= 0")
         if self.watchdog_s < 0.0:
@@ -224,134 +172,49 @@ class PartitionOutcome:
     #: running in a *worker process* (which cannot reach the journal
     #: file); the parent appends them — before the partition record,
     #: preserving replay order — on the result-merge path. Empty when
-    #: the supervisor journals directly (inline/thread execution).
+    #: the supervisor journals directly (inline execution).
     ladder_records: list = field(default_factory=list)
 
 
-class PartitionExecutor:
-    """Bounded worker pool with deterministic, index-ordered results.
+def run_tasks(
+    tasks: Sequence[Task],
+    on_result: Callable[[int, Any], None] | None = None,
+    pool: WorkerPool | None = None,
+    ctx: Any | None = None,
+) -> list[Any]:
+    """Run ``tasks`` inline (``pool is None``) or on ``pool``; results
+    come back in task order.
 
-    ``run`` executes every task and returns their results in the order
-    the tasks were given, independent of completion order. With
-    ``workers = 1`` (or a single task) tasks run inline on the calling
-    thread, which is the exact pre-pool serial behavior. When a warm
-    supervised :class:`~repro.runtime.pool.WorkerPool` is provided,
-    ``pool="process"`` dispatch goes through it instead of forking a
-    fresh ``ProcessPoolExecutor`` — and worker death, stalls, and shm
-    loss become recoverable events rather than crashes.
+    ``on_result(index, result)`` fires in the calling process as each
+    task completes — in task order inline, in completion order on the
+    pool — which is what the run journal hooks to persist outcomes the
+    moment they exist. A pool that could not create its shared-memory
+    arena sent every CST pickled (``pool.cst_plane == "pickle"``); that
+    downgrade is warned once per call and logged as a
+    ``shm_downgrade`` event under the run's ``request_id`` when
+    ``ctx`` (a :class:`~repro.runtime.context.RunContext`) carries a
+    logger.
     """
-
-    def __init__(
-        self,
-        config: ExecutorConfig | None = None,
-        warm: Any | None = None,
-    ) -> None:
-        self.config = config or ExecutorConfig()
-        #: Optional :class:`~repro.runtime.pool.WorkerPool` to reuse
-        #: (owned by the run context / serve layer, not by us).
-        self.warm = warm
-
-    def run(
-        self,
-        tasks: Sequence[Task],
-        on_result: Callable[[int, Any], None] | None = None,
-        uses_shm: Sequence[bool] | None = None,
-        fallback: Callable[[int], Task] | None = None,
-    ) -> list[Any]:
-        """Execute ``tasks``; results are returned in task order.
-
-        ``on_result(index, result)`` fires in the calling process as
-        each task *completes* (not in task order), which is what the
-        run journal hooks to persist outcomes the moment they exist —
-        a crash loses at most the in-flight partitions. Callbacks run
-        on the caller's side of any process pool, so they may close
-        over unpicklable state. ``uses_shm`` and ``fallback`` describe
-        shared-memory tasks to the warm pool's shm-loss recovery (see
-        :meth:`repro.runtime.pool.WorkerPool.run`); the thread and
-        legacy process paths ignore them.
-        """
-        cfg = self.config
-        if cfg.workers <= 1 or len(tasks) <= 1:
-            results = []
-            for i, (fn, args) in enumerate(tasks):
-                result = fn(*args)
-                if on_result is not None:
-                    on_result(i, result)
-                results.append(result)
-            return results
-        if self.warm is not None and cfg.pool == "process":
-            return self.warm.run(
-                tasks, on_result, uses_shm=uses_shm, fallback=fallback
-            )
-        workers = min(cfg.workers, len(tasks))
-        if cfg.pool == "process":
-            pool_ctx: Any = ProcessPoolExecutor(
-                max_workers=workers, initializer=_process_worker_init
-            )
-        else:
-            pool_ctx = ThreadPoolExecutor(max_workers=workers)
-        with pool_ctx as pool:
-            futures = [pool.submit(fn, *args) for fn, args in tasks]
-            results = [None] * len(tasks)
-            delivered = [False] * len(tasks)
-
-            def deliver(i: int, value: Any) -> None:
-                results[i] = value
-                delivered[i] = True
-                if on_result is not None:
-                    on_result(i, value)
-
-            try:
-                index_of = {id(f): i for i, f in enumerate(futures)}
-                for f in as_completed(futures):
-                    deliver(index_of[id(f)], f.result())
-            except BrokenExecutor as crash:
-                self._rerun_lost(tasks, futures, delivered, deliver,
-                                 crash)
-            return results
-
-    @staticmethod
-    def _rerun_lost(
-        tasks: Sequence[Task],
-        futures: Sequence[Any],
-        delivered: Sequence[bool],
-        deliver: Callable[[int, Any], None],
-        crash: BaseException,
-    ) -> None:
-        """Recover a broken ``ProcessPoolExecutor`` run.
-
-        A worker died (OOM kill, segfault, operator ``kill -9``) and
-        the executor marked itself broken, cancelling everything in
-        flight. Salvage the futures that did finish, then re-run the
-        lost tasks inline serially — once. Tasks are pure, so the
-        inline results are bit-identical to what the workers would
-        have produced; only wall-clock time changes. A failure during
-        the re-run surfaces as a typed transient
-        :class:`~repro.common.errors.WorkerCrashError`.
-        """
-        for i, f in enumerate(futures):
-            if delivered[i] or not f.done() or f.cancelled():
-                continue
-            exc = f.exception()
-            if exc is None:
-                deliver(i, f.result())
-            elif not isinstance(exc, BrokenExecutor):
-                # The task itself failed before the pool broke;
-                # propagate its own error exactly as before.
-                raise exc
+    if pool is None:
+        results = []
         for i, (fn, args) in enumerate(tasks):
-            if delivered[i]:
-                continue
-            try:
-                deliver(i, fn(*args))
-            except Exception as exc:
-                raise WorkerCrashError(
-                    f"worker pool broke ({crash!r}) and task {i} "
-                    f"failed during the inline re-run: {exc!r}"
-                ) from exc
-
-    def map(
-        self, fn: Callable[..., Any], args_list: Sequence[tuple]
-    ) -> list[Any]:
-        """``run`` over one function with many argument tuples."""
-        return self.run([(fn, args) for args in args_list])
+            result = fn(*args)
+            if on_result is not None:
+                on_result(i, result)
+            results.append(result)
+        return results
+    results = pool.run(tasks, on_result)
+    if pool.cst_plane == "pickle":
+        warnings.warn(
+            "shared-memory CST plane unavailable; worker-pool tasks "
+            "fall back to pickled CSTs",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if ctx is not None and ctx.log is not None:
+            ctx.log.warning(
+                "shm_downgrade",
+                request_id=ctx.tracer.request_id,
+                plane="pickle",
+            )
+    return results

@@ -320,7 +320,7 @@ class SupervisorCore:
     The degradation ladder used to close over the whole
     :class:`~repro.runtime.context.RunContext` (cache lock, journal
     file handle, tracer), which does not pickle — so supervised runs
-    silently downgraded ``--pool process`` to threads. This bundle
+    could not cross a process boundary. This bundle
     extracts exactly what a ladder task needs, all of it frozen
     dataclasses and scalars: :class:`FaultPlan` decisions are pure in
     ``(seed, kind, scope)`` and :class:`RetryPolicy` backoff is pure in

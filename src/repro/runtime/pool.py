@@ -1,12 +1,10 @@
-"""Supervised warm worker pool: host faults as recoverable events.
+"""Supervised warm worker pool: the one execution plane for ``workers > 1``.
 
-The execute stage used to fork a fresh ``ProcessPoolExecutor`` per
-run and treat worker death as fatal — a single OOM-killed worker
-surfaced as an unhandled ``BrokenProcessPool`` and lost the run (and,
-under ``repro serve``, the batch). This module replaces that with a
-long-lived :class:`WorkerPool` that makes the host-fault story match
-the modeled-fault story (retry → re-partition → CPU fallback): every
-host failure has a bounded, deterministic-in-value recovery path.
+The execute stage runs its independent partition tasks inline when
+``workers == 1`` and through a long-lived :class:`WorkerPool`
+otherwise. The pool makes the host-fault story match the
+modeled-fault story (retry → re-partition → CPU fallback): every host
+failure has a bounded, deterministic-in-value recovery path.
 
 Design, in one pass:
 
@@ -25,16 +23,21 @@ Design, in one pass:
   runs it inline in the parent process, executing the exact same pure
   task function, so counts, modeled seconds, and health records stay
   bit-identical to a fault-free run.
-* **Shm-loss aware.** A worker that finds a task's shared-memory CST
-  segment gone (really unlinked, or injected via
-  :class:`~repro.runtime.faults.HostFaultPlan`) reports ``shm_lost``;
-  the parent swaps in a pickled fallback payload for that task and
-  re-dispatches, so losing the zero-copy plane degrades wall-clock
-  only.
-* **Chunked.** Small partitions are grouped, in index order, into
-  multi-partition chunks (``task_chunk``) to cut per-task dispatch
-  overhead on long partition streams; a chunk is the unit of
-  dispatch, hedging, and crash accounting.
+* **Owns the CST transport.** Callers pass plain tasks whose arguments
+  may hold :class:`~repro.cst.structure.CST` objects (or tuples of
+  them, e.g. a multi-FPGA device queue). At dispatch the pool places
+  their arrays in its own :class:`~repro.runtime.shm.CstArena` and
+  ships descriptors; the worker rebuilds zero-copy read-only CSTs
+  before it calls the task. A worker that finds a segment gone (really
+  unlinked, or injected via :class:`~repro.runtime.faults.
+  HostFaultPlan`) reports ``shm_lost`` and the pool re-sends the
+  original pickled task; when no arena can be created at all, every
+  task goes pickled (``cst_plane == "pickle"``). Losing the zero-copy
+  plane degrades wall-clock only.
+* **Chunked.** Consecutive tasks are grouped, in index order, into
+  chunks of :func:`derive_chunk` tasks — about eight per worker — to
+  cut per-task dispatch overhead on long partition streams; a chunk
+  is the unit of dispatch, hedging, and crash accounting.
 
 Determinism: task *values* never depend on supervision. Tasks are
 pure functions of their arguments, results are keyed by task index,
@@ -60,11 +63,9 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Sequence
 
-from repro.common.errors import (
-    DeviceError,
-    WorkerCrashError,
-    WorkerShmLost,
-)
+from repro.common.errors import DeviceError, WorkerCrashError
+from repro.cst.structure import CST, CstDescriptor
+from repro.runtime import shm
 from repro.runtime.faults import HostFaultPlan
 
 #: A unit of work: ``(fn, args)`` with ``fn`` a module-level function
@@ -75,6 +76,24 @@ Task = tuple[Callable[..., Any], tuple]
 _MAX_EVENTS = 10_000
 
 _PR_SET_PDEATHSIG = 1
+
+#: Recycle the pool's CST arena once this many placed bytes
+#: accumulate. A long-lived pool (serve, harness sweeps) reuses one
+#: arena across runs — resident CSTs keep their descriptors, so repeat
+#: runs place nothing new — and the cap bounds /dev/shm growth from
+#: dataset churn; recycling just re-places on the next run.
+ARENA_RECYCLE_BYTES = 256 << 20
+
+
+def derive_chunk(pending: int, workers: int) -> int:
+    """Tasks per dispatch unit: ``ceil(pending / (8 * workers))``.
+
+    Eight chunks per worker keep every worker fed until the tail of
+    the run while cutting pipe round-trips on long partition streams
+    (1304 partitions at two workers dispatch as 16 chunks of 82).
+    Short runs degrade to one task per chunk.
+    """
+    return max(1, -(-pending // (8 * workers)))
 
 
 def install_parent_death_tether(
@@ -124,11 +143,28 @@ def _drop_shm_attachments() -> None:
     CST plane: subsequent descriptor loads in this worker behave as
     if the segments were never mapped.
     """
-    from repro.runtime import shm
-
     shm._ATTACHED.clear()
     shm._ATTACHMENTS.clear()
     shm._BLOB_CACHE.clear()
+
+
+def _rebuild(args: tuple) -> tuple:
+    """Worker side of the CST transport: descriptors back to CSTs.
+
+    Every segment attaches here, eagerly, so a lost segment surfaces
+    as ``FileNotFoundError`` before the task runs.
+    """
+    out = []
+    for arg in args:
+        if isinstance(arg, CstDescriptor):
+            arg = CST.from_descriptor(arg)
+        elif (
+            isinstance(arg, tuple) and arg
+            and isinstance(arg[0], CstDescriptor)
+        ):
+            arg = tuple(CST.from_descriptor(d) for d in arg)
+        out.append(arg)
+    return tuple(out)
 
 
 def _pool_worker_main(
@@ -199,12 +235,13 @@ def _run_chunk(
                 return ("shm_lost", dispatch_seq, task_index,
                         "injected shm loss")
         start = time.perf_counter()
+        if uses_shm:
+            try:
+                args = _rebuild(args)
+            except FileNotFoundError as exc:  # the segment is gone
+                return ("shm_lost", dispatch_seq, task_index, repr(exc))
         try:
             result = fn(*args)
-        except FileNotFoundError as exc:
-            if uses_shm:  # the CST segment is genuinely gone
-                return ("shm_lost", dispatch_seq, task_index, repr(exc))
-            return _error_reply(dispatch_seq, task_index, exc)
         except Exception as exc:
             return _error_reply(dispatch_seq, task_index, exc)
         if spans is not None:
@@ -214,8 +251,6 @@ def _run_chunk(
             ))
         out.append((task_index, result))
     if spans is not None:
-        from repro.runtime import shm
-
         for segment, attach_start, seconds in shm.drain_attach_events():
             spans.append((
                 "shm-attach", attach_start, seconds,
@@ -242,8 +277,7 @@ class PoolConfig:
     """Shape and supervision knobs of a :class:`WorkerPool`.
 
     All wall-clock domain. ``ttl`` recycles a worker after that many
-    tasks (0 = never), bounding drift from leaked state; ``chunk``
-    groups that many consecutive tasks per dispatch; ``watchdog_s``
+    tasks (0 = never), bounding drift from leaked state; ``watchdog_s``
     is the silence budget before a dispatch is hedged (stall-kill at
     twice that; 0 disables); ``max_crashes`` is how many worker
     deaths a chunk may cause before it is quarantined inline.
@@ -251,7 +285,6 @@ class PoolConfig:
 
     workers: int = 2
     ttl: int = 0
-    chunk: int = 1
     watchdog_s: float = 30.0
     max_crashes: int = 2
     heartbeat_s: float = 0.2
@@ -262,8 +295,6 @@ class PoolConfig:
             raise DeviceError("pool workers must be >= 1")
         if self.ttl < 0:
             raise DeviceError("pool ttl must be >= 0")
-        if self.chunk < 1:
-            raise DeviceError("pool task chunk must be >= 1")
         if self.watchdog_s < 0.0:
             raise DeviceError("pool watchdog must be >= 0")
         if self.max_crashes < 1:
@@ -341,9 +372,12 @@ class _Chunk:
     )
 
     def __init__(
-        self, items: list[tuple[int, Callable[..., Any], tuple, bool]]
+        self,
+        items: list[tuple[int, Callable[..., Any], tuple, tuple | None]],
     ) -> None:
-        #: ``(task_index, fn, args, uses_shm)`` per task, index order.
+        #: ``(task_index, fn, args, wire_args)`` per task, index order;
+        #: ``wire_args`` is ``args`` with every CST swapped for its
+        #: arena descriptor, or ``None`` to send ``args`` pickled.
         self.items = items
         self.attempt = 0
         self.crashes = 0
@@ -388,6 +422,13 @@ class WorkerPool:
             tuple[int, str, float, float, dict[str, Any]]
         ] = []
         self._closed = False
+        #: The pool-owned shared-memory CST plane, created on the
+        #: first run whose tasks carry a CST.
+        self._arena: shm.CstArena | None = None
+        #: How the last run's CST arguments reached the workers:
+        #: ``"shm"`` descriptors, ``"pickle"`` when no arena could be
+        #: created, ``None`` when no task carried a CST.
+        self.cst_plane: str | None = None
         try:
             self._mp = get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
@@ -402,6 +443,11 @@ class WorkerPool:
     def closed(self) -> bool:
         """Whether :meth:`close` has been called (pool is unusable)."""
         return self._closed
+
+    @property
+    def arena(self) -> shm.CstArena | None:
+        """The pool's live CST arena, if a run has created one."""
+        return self._arena
 
     # ------------------------------------------------------------ spawn
 
@@ -497,43 +543,41 @@ class WorkerPool:
         self,
         tasks: Sequence[Task],
         on_result: Callable[[int, Any], None] | None = None,
-        uses_shm: Sequence[bool] | None = None,
-        fallback: Callable[[int], Task] | None = None,
     ) -> list[Any]:
         """Execute ``tasks``; results are returned in task order.
 
         ``on_result(index, result)`` fires in the parent as each task
-        completes (the run journal's persistence hook). ``uses_shm``
-        marks tasks whose arguments reference the shared-memory CST
-        plane; ``fallback(index)`` must then build an equivalent
-        pickled task, used when a worker reports the segment lost.
-        Exceptions raised by tasks (or by ``on_result``) propagate
-        with their original type; in-flight chunks of an aborted run
-        are discarded when their stragglers arrive.
+        completes (the run journal's persistence hook). CST arguments
+        cross to the workers over the pool's arena (see the module
+        docstring); ``cst_plane`` reports how. Exceptions raised by
+        tasks (or by ``on_result``) propagate with their original
+        type; in-flight chunks of an aborted run are discarded when
+        their stragglers arrive.
         """
         if not tasks:
             return []
+        if (
+            self._arena is not None
+            and self._arena.placed_bytes > ARENA_RECYCLE_BYTES
+        ):
+            self.recycle()
+        self.cst_plane = None
+        items = [
+            (i, fn, args, self._wire(args))
+            for i, (fn, args) in enumerate(tasks)
+        ]
         self.ensure_workers()
-        chunk_size = max(1, self.config.chunk)
-        chunks: list[_Chunk] = []
-        for start in range(0, len(tasks), chunk_size):
-            items = [
-                (
-                    i,
-                    tasks[i][0],
-                    tasks[i][1],
-                    bool(uses_shm[i]) if uses_shm is not None else False,
-                )
-                for i in range(start, min(start + chunk_size, len(tasks)))
-            ]
-            chunks.append(_Chunk(items))
+        chunk_size = derive_chunk(len(tasks), self.config.workers)
+        chunks = [
+            _Chunk(items[start:start + chunk_size])
+            for start in range(0, len(items), chunk_size)
+        ]
         self.stats.chunks += len(chunks)
         pending: deque[_Chunk] = deque(chunks)
         results: dict[int, Any] = {}
         state = {
             "done": 0,
             "error": None,
-            "fallback": fallback,
             "on_result": on_result,
             "results": results,
             "pending": pending,
@@ -556,6 +600,36 @@ class WorkerPool:
         if state["error"] is not None:
             raise state["error"]
         return [results[i] for i in range(len(tasks))]
+
+    def _wire(self, args: tuple) -> tuple | None:
+        """``args`` with every CST (or tuple of CSTs) swapped for its
+        arena descriptor; ``None`` when nothing was swapped, so the
+        task travels pickled as given."""
+        out = list(args)
+        swapped = False
+        for k, arg in enumerate(args):
+            if isinstance(arg, CST):
+                csts: tuple = (arg,)
+            elif (
+                isinstance(arg, tuple) and arg
+                and all(isinstance(c, CST) for c in arg)
+            ):
+                csts = arg
+            else:
+                continue
+            if self._arena is None and self.cst_plane is None:
+                # One creation attempt per run.
+                try:
+                    self._arena = shm.CstArena()
+                except OSError:
+                    pass
+            self.cst_plane = "shm" if self._arena is not None else "pickle"
+            if self._arena is None:
+                return None
+            descs = tuple(self._arena.descriptor_for(c) for c in csts)
+            out[k] = descs if isinstance(arg, tuple) else descs[0]
+            swapped = True
+        return tuple(out) if swapped else None
 
     # ------------------------------------------------- run internals
 
@@ -584,9 +658,15 @@ class WorkerPool:
         self._next_seq += 1
         attempt = chunk.attempt
         try:
-            worker.conn.send(
-                ("run", seq, attempt, chunk.items, self._trace)
-            )
+            worker.conn.send((
+                "run", seq, attempt,
+                [
+                    (i, fn, args if wire is None else wire,
+                     wire is not None)
+                    for i, fn, args, wire in chunk.items
+                ],
+                self._trace,
+            ))
         except (BrokenPipeError, OSError):
             self._kill_worker(worker)
             return False
@@ -668,17 +748,10 @@ class WorkerPool:
         self, chunk: _Chunk, task_index: int, message: str,
         state: dict[str, Any],
     ) -> None:
-        fallback = state["fallback"]
-        if fallback is None:
-            state["error"] = WorkerShmLost(
-                f"task {task_index} lost its shared-memory CST plane "
-                f"({message}) and no pickled fallback is available"
-            )
-            return
-        for j, (i, _fn, _args, uses) in enumerate(chunk.items):
-            if i == task_index and uses:
-                fb_fn, fb_args = fallback(i)
-                chunk.items[j] = (i, fb_fn, fb_args, False)
+        """Re-send ``task_index`` with its original pickled args."""
+        for j, (i, fn, args, wire) in enumerate(chunk.items):
+            if i == task_index and wire is not None:
+                chunk.items[j] = (i, fn, args, None)
                 self.stats.shm_fallbacks += 1
                 self._event(
                     "shm_fallback", task=task_index, detail=message
@@ -737,7 +810,7 @@ class WorkerPool:
         state["done"] += 1
         results: dict[int, Any] = state["results"]
         on_result = state["on_result"]
-        for task_index, fn, args, _uses in chunk.items:
+        for task_index, fn, args, _wire in chunk.items:
             start = time.perf_counter()
             try:
                 value = fn(*args)
@@ -854,20 +927,30 @@ class WorkerPool:
         worker.current = None
 
     def recycle(self) -> None:
-        """Stop every worker; the next run forks a fresh set.
+        """Stop every worker and unlink the arena; the next run forks
+        a fresh set and places its CSTs in a fresh arena.
 
-        The serve layer calls this when it recycles its shared arena,
-        so workers drop attachments to unlinked segments.
+        ``run`` calls this once the arena passes
+        :data:`ARENA_RECYCLE_BYTES`; stopping the workers first drops
+        their attachments to the segments being unlinked.
         """
         for worker in self._workers:
             self._stop_worker(worker)
         self._dispatches.clear()
+        self._close_arena()
+
+    def _close_arena(self) -> None:
+        if self._arena is not None:
+            self._arena.close()
+            self._arena = None
 
     def close(self) -> None:
-        """Stop all workers permanently (idempotent)."""
+        """Stop all workers permanently and unlink the arena
+        (idempotent)."""
         if self._closed:
             return
         self._closed = True
         for worker in self._workers:
             self._stop_worker(worker)
         self._dispatches.clear()
+        self._close_arena()

@@ -1,15 +1,15 @@
-"""Zero-copy shared-memory CST plane for the process pool.
+"""Zero-copy shared-memory CST plane of the worker pool.
 
-``--pool process`` sidesteps the GIL, but pickling every partition's
-CST payload per task used to eat the win: candidates and CSR adjacency
+Worker processes sidestep the GIL, but pickling every partition's CST
+payload per task used to eat the win: candidates and CSR adjacency
 arrays were serialized into the call pipe, copied into the worker, and
 deserialized again — per partition, per attempt. This module keeps the
 arrays out of the pipe entirely:
 
 :class:`CstArena`
     A bump allocator over named ``multiprocessing.shared_memory``
-    segments, owned by the dispatching (parent) process. The execute
-    stage places each partition's backing buffers — ``candidates[u]``
+    segments, owned by the dispatching (parent) process. The worker
+    pool places each partition's backing buffers — ``candidates[u]``
     plus every adjacency ``indptr``/``targets`` — into the arena once,
     and ships only :class:`ArrayRef` descriptors across the process
     boundary.
@@ -21,10 +21,11 @@ arrays out of the pipe entirely:
     read-only; under the default ``fork`` start method they usually
     inherit the parent's mapping and never even hit the filesystem.
 
-Lifecycle: the arena is created lazily on the first process-pool
-dispatch (:meth:`repro.runtime.context.RunContext.ensure_arena`),
-closed and unlinked by ``RunContext.close()`` / the CLI ``finally``
-path, and backstopped by an ``atexit`` guard. A SIGKILLed owner leaks
+Lifecycle: the :class:`~repro.runtime.pool.WorkerPool` creates its
+arena lazily on the first dispatch that carries a CST, and closes and
+unlinks it on recycle and on ``close()`` (reached from
+``RunContext.close()`` / the CLI ``finally`` path); an ``atexit``
+guard backstops all of that. A SIGKILLed owner leaks
 no segments either: creation registers each segment with the
 ``multiprocessing`` resource tracker (a separate process), which
 unlinks everything still registered when its last client dies. Worker

@@ -33,7 +33,6 @@ modeled number is independent of cache state.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -49,7 +48,7 @@ from repro.cst.partition import (
     partition_cst,
     partition_to_list,
 )
-from repro.cst.structure import CST, CstDescriptor, ENTRY_BYTES
+from repro.cst.structure import CST, ENTRY_BYTES
 from repro.cst.workload import estimate_workload
 from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
@@ -64,11 +63,10 @@ from repro.query.query_graph import QueryGraph, as_query
 from repro.query.spanning_tree import SpanningTree, build_bfs_tree, choose_root
 from repro.runtime.context import RunContext
 from repro.runtime.executor import (
-    ExecutorConfig,
-    PartitionExecutor,
     PartitionOutcome,
     Task,
     overlap_schedule,
+    run_tasks,
 )
 from repro.runtime.faults import FAULT_ERRORS, FaultEvent, SupervisorCore
 from repro.runtime.journal import (
@@ -353,10 +351,9 @@ def _attempt_partition(
     backoff_seconds, events, last_fault_kind)`` where ``report`` is
     ``None`` once the retry budget is exhausted (the caller walks the
     degradation ladder). Events are returned, not recorded, so the
-    call is free of shared mutable state and safe under the execute
-    stage's worker pool — threads and processes alike, since ``core``
-    is the picklable supervision bundle; the caller records them in
-    partition order.
+    call is free of shared mutable state and safe in the execute
+    stage's worker processes, since ``core`` is the picklable
+    supervision bundle; the caller records them in partition order.
     """
     policy = core.retry_policy
     fplan = core.fault_plan
@@ -491,8 +488,7 @@ def _supervise_partition(
 
     Every input is picklable (``core`` is the extracted
     :class:`~repro.runtime.faults.SupervisorCore`), so supervised
-    partitions run under thread *and process* pools alike — the old
-    silent thread-downgrade of ``--pool process`` is gone. Fault
+    partitions run inline or in the worker pool alike. Fault
     decisions and backoff are pure in the seed and scope, so a worker
     process reproduces the parent's schedule bit-identically.
 
@@ -607,49 +603,6 @@ def _supervise_partition(
     return out
 
 
-# -- shared-memory task wrappers ---------------------------------------
-#
-# Identical to their pickled counterparts except the CST crosses the
-# process boundary as a :class:`CstDescriptor` and is reconstructed as
-# read-only zero-copy views on the worker side. Module-level so they
-# pickle; behaviorally equivalent by the descriptor round-trip tests.
-
-
-def _run_fpga_partition_desc(
-    cfg: FpgaConfig,
-    variant: str,
-    desc: CstDescriptor,
-    match_plan: MatchPlan,
-    collect_results: bool,
-    trace_modules: bool = False,
-) -> KernelReport:
-    return _run_fpga_partition(
-        cfg, variant, CST.from_descriptor(desc), match_plan,
-        collect_results, trace_modules,
-    )
-
-
-def _run_cpu_partition_desc(
-    desc: CstDescriptor, order: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
-    return _run_cpu_partition(CST.from_descriptor(desc), order)
-
-
-def _supervise_partition_desc(
-    core: SupervisorCore,
-    plan: StagePlan,
-    limits: PartitionLimits | None,
-    collect_results: bool,
-    ladder_replay: dict,
-    desc: CstDescriptor,
-    idx: int,
-) -> PartitionOutcome:
-    return _supervise_partition(
-        core, plan, limits, collect_results, ladder_replay,
-        CST.from_descriptor(desc), idx,
-    )
-
-
 def execute_stage(
     ctx: RunContext,
     plan: StagePlan,
@@ -660,7 +613,6 @@ def execute_stage(
     cpu_share_threads: int = 8,
     cpu_thread_efficiency: float = 0.45,
     limits: PartitionLimits | None = None,
-    executor: ExecutorConfig | None = None,
 ) -> ExecuteOutcome:
     """Kernel over FPGA partitions + basic matcher over CPU partitions.
 
@@ -672,9 +624,9 @@ def execute_stage(
     transfer of partition *i* overlaps the kernels of the previous
     ``buffers - 1`` launches (host-side re-partition cost and the
     result fetch stay serial). Independent partitions — FPGA and
-    CPU-share alike — are dispatched through a
-    :class:`PartitionExecutor` worker pool (``executor`` overrides
-    ``ctx.executor``); results merge in partition-index order, so
+    CPU-share alike — run inline or on the context's warm worker pool
+    (:func:`~repro.runtime.executor.run_tasks`); results merge in
+    partition-index order, so
     counts, results, modeled seconds, and the health record do not
     depend on ``workers``.
 
@@ -706,7 +658,7 @@ def execute_stage(
     """
     cfg = ctx.fpga
     q = plan.query
-    exec_cfg = executor if executor is not None else ctx.executor
+    exec_cfg = ctx.executor
     supervised = ctx.fault_plan is not None
     journal = ctx.journal
     ladder_replay = (
@@ -809,84 +761,36 @@ def execute_stage(
         pending_fpga = [i for i in range(n_fpga) if i not in outcomes]
         pending_cpu = [j for j in range(n_cpu) if j not in cpu_done]
 
-        # Zero-copy shared-memory CST plane: when partitions cross a
-        # process boundary, their backing arrays are registered once in
-        # a CstArena and tasks carry only (segment, offset, shape)
-        # descriptors — workers attach and rebuild read-only views,
-        # so dispatch cost is independent of partition size. Falls
-        # back to the legacy pickled handoff (with a warning) when
-        # shared memory is unavailable or disabled.
-        use_pool = (
-            exec_cfg.workers > 1 and len(pending_fpga) + len(pending_cpu) > 1
-        )
-        arena = None
-        cst_plane = "local"
-        if exec_cfg.pool == "process" and use_pool:
-            if exec_cfg.shm:
-                arena = ctx.ensure_arena()
-                if arena is None:
-                    warnings.warn(
-                        "shared-memory CST plane unavailable; process-pool"
-                        " tasks fall back to pickled CSTs",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    if ctx.log is not None:
-                        ctx.log.warning(
-                            "shm_downgrade",
-                            request_id=ctx.tracer.request_id,
-                            plane="pickle",
-                        )
-            cst_plane = "shm" if arena is not None else "pickle"
         # Warm supervised worker pool: forked once on the context and
         # reused across execute stages (and serve batches), with
         # worker death / stalls / shm loss recovered instead of
-        # crashing the run. Created *after* the arena so fresh workers
-        # inherit its attachments. An explicit ``executor`` override
-        # that differs from the context's config keeps the legacy
-        # per-stage pool — the context's pool was sized for its own
-        # config.
-        warm = None
-        if (
-            exec_cfg.pool == "process" and use_pool
-            and exec_cfg == ctx.executor
-        ):
-            warm = ctx.ensure_pool()
-        pool = PartitionExecutor(exec_cfg, warm=warm)
-        pool_stats0 = warm.stats.to_dict() if warm is not None else None
+        # crashing the run. The pool ships each task's CST over its
+        # shared-memory arena. Its counters are snapshotted before
+        # ensure_pool, so a first stage counts the fork it caused.
+        pool_stats0 = (
+            ctx.worker_pool.stats.to_dict()
+            if ctx.worker_pool is not None else {}
+        )
+        pool = (
+            ctx.ensure_pool()
+            if len(pending_fpga) + len(pending_cpu) > 1 else None
+        )
 
         if supervised:
-            # Inline/thread supervisors share the parent's memory and
-            # journal each ladder rung write-ahead; process-pool
-            # supervisors cannot reach the journal fd, so rung records
-            # ride back on the outcome and the parent appends them in
-            # on_done — before the partition record, preserving order.
+            # Inline supervisors share the parent's memory and journal
+            # each ladder rung write-ahead; pool supervisors cannot
+            # reach the journal fd, so rung records ride back on the
+            # outcome and the parent appends them in on_done — before
+            # the partition record, preserving order.
             journal_append = (
                 journal.append
-                if journal is not None and journal.active
-                and not (exec_cfg.pool == "process" and use_pool)
+                if journal is not None and journal.active and pool is None
                 else None
             )
-            if arena is not None:
-                fpga_tasks: list[Task] = [
-                    (_supervise_partition_desc,
-                     (core, plan, limits, collect_results, ladder_replay,
-                      arena.descriptor_for(work.fpga_parts[i]), i))
-                    for i in pending_fpga
-                ]
-            else:
-                fpga_tasks = [
-                    (_supervise_partition,
-                     (core, plan, limits, collect_results, ladder_replay,
-                      work.fpga_parts[i], i, journal_append))
-                    for i in pending_fpga
-                ]
-        elif arena is not None:
-            fpga_tasks = [
-                (_run_fpga_partition_desc,
-                 (cfg, engine_variant,
-                  arena.descriptor_for(work.fpga_parts[i]), plan.match_plan,
-                  collect_results, ctx.tracer.enabled))
+            fpga_tasks: list[Task] = [
+                (_supervise_partition,
+                 (core, plan, limits, collect_results, ladder_replay,
+                  work.fpga_parts[i], i, journal_append))
                 for i in pending_fpga
             ]
         else:
@@ -896,17 +800,10 @@ def execute_stage(
                   collect_results, ctx.tracer.enabled))
                 for i in pending_fpga
             ]
-        if arena is not None:
-            cpu_tasks: list[Task] = [
-                (_run_cpu_partition_desc,
-                 (arena.descriptor_for(work.cpu_parts[j]), plan.order))
-                for j in pending_cpu
-            ]
-        else:
-            cpu_tasks = [
-                (_run_cpu_partition, (work.cpu_parts[j], plan.order))
-                for j in pending_cpu
-            ]
+        cpu_tasks: list[Task] = [
+            (_run_cpu_partition, (work.cpu_parts[j], plan.order))
+            for j in pending_cpu
+        ]
 
         def on_done(pos: int, result: object) -> None:
             if pos < len(fpga_tasks):
@@ -947,41 +844,11 @@ def execute_stage(
                         ),
                     })
 
-        def pickled_fallback(pos: int) -> Task:
-            """Rebuild task ``pos`` with a pickled CST payload.
-
-            Used by the warm pool when a worker reports the task's
-            shared-memory segment lost: the same pure computation,
-            minus the shm plane, so results stay bit-identical.
-            """
-            if pos < len(fpga_tasks):
-                i = pending_fpga[pos]
-                if supervised:
-                    # Process-boundary supervisors never journal
-                    # directly; rung records ride on the outcome.
-                    return (_supervise_partition,
-                            (core, plan, limits, collect_results,
-                             ladder_replay, work.fpga_parts[i], i, None))
-                return (_run_fpga_partition,
-                        (cfg, engine_variant, work.fpga_parts[i],
-                         plan.match_plan, collect_results,
-                         ctx.tracer.enabled))
-            j = pending_cpu[pos - len(fpga_tasks)]
-            return (_run_cpu_partition, (work.cpu_parts[j], plan.order))
-
-        all_tasks = [*fpga_tasks, *cpu_tasks]
-        if warm is not None:
+        if pool is not None:
             # Ask workers to time their tasks only when this run is
             # tracing; the reply protocol is unchanged otherwise.
-            warm.set_trace(ctx.tracer.enabled)
-        pool.run(
-            all_tasks,
-            on_result=on_done,
-            uses_shm=(
-                [True] * len(all_tasks) if arena is not None else None
-            ),
-            fallback=pickled_fallback if arena is not None else None,
-        )
+            pool.set_trace(ctx.tracer.enabled)
+        run_tasks([*fpga_tasks, *cpu_tasks], on_done, pool, ctx)
 
         # -- merge in partition-index order ----------------------------
         pcie_seconds = 0.0
@@ -1131,20 +998,18 @@ def execute_stage(
             fallback_seconds=fallback_seconds,
             workers=exec_cfg.workers,
             buffers=exec_cfg.buffers,
-            pool=exec_cfg.pool,
-            executor_pool_effective=exec_cfg.pool,
-            cst_plane=cst_plane,
+            pool="inline" if pool is None else "process",
+            cst_plane="local" if pool is None else pool.cst_plane,
         )
-        if warm is not None:
+        if pool is not None:
             # Per-stage deltas of the warm pool's cumulative counters
             # (the pool outlives this stage), plus a wall-clock `pool`
             # trace lane of every supervision decision. All of this is
             # strictly wall-domain: modeled seconds and counts above
             # are already merged and cannot see it.
-            after = warm.stats.to_dict()
+            after = pool.stats.to_dict()
             st.note(
                 pool_warm=True,
-                task_chunk=exec_cfg.task_chunk,
                 **{
                     f"pool_{key}": after[key] - pool_stats0.get(key, 0)
                     for key in (
@@ -1155,8 +1020,8 @@ def execute_stage(
                 },
             )
             tracer = ctx.tracer
-            events = warm.drain_events()
-            worker_spans = warm.drain_worker_spans()
+            events = pool.drain_events()
+            worker_spans = pool.drain_worker_spans()
             if tracer.enabled and (events or worker_spans):
                 epoch = time.perf_counter() - tracer.now_wall()
                 for ts, kind, detail in events:

@@ -46,7 +46,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 #: Clock domains. ``wall`` spans carry real host time relative to the
 #: tracer's epoch; ``modeled`` spans carry modeled seconds (the same
@@ -498,67 +498,6 @@ def _labels(pairs: Mapping[str, Any]) -> str:
         f'{k}="{str(v)}"' for k, v in sorted(pairs.items())
     )
     return "{" + inner + "}"
-
-
-class _PromWriter:
-    """Accumulates HELP/TYPE-prefixed metric families in order."""
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self.lines: list[str] = []
-
-    def family(
-        self,
-        name: str,
-        mtype: str,
-        help_text: str,
-        samples: Iterable[tuple[Mapping[str, Any], float]],
-        suffix: str = "",
-    ) -> None:
-        samples = list(samples)
-        if not samples:
-            return
-        full = f"{self.prefix}_{name}"
-        self.lines.append(f"# HELP {full} {help_text}")
-        self.lines.append(f"# TYPE {full} {mtype}")
-        for labels, value in samples:
-            self.lines.append(
-                f"{full}{suffix}{_labels(labels)} {_fmt(value)}"
-            )
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        observations: Mapping[tuple[tuple[str, str], ...], float],
-        buckets: tuple[float, ...] = STAGE_SECONDS_BUCKETS,
-    ) -> None:
-        """One-observation-per-series histogram family.
-
-        ``observations`` maps frozen label pairs to the observed
-        value; each series gets cumulative ``_bucket`` lines plus
-        ``_sum`` / ``_count``.
-        """
-        if not observations:
-            return
-        full = f"{self.prefix}_{name}"
-        self.lines.append(f"# HELP {full} {help_text}")
-        self.lines.append(f"# TYPE {full} histogram")
-        for label_pairs, value in observations.items():
-            labels = dict(label_pairs)
-            for bound in (*buckets, float("inf")):
-                hit = 1 if value <= bound else 0
-                self.lines.append(
-                    f"{full}_bucket"
-                    f"{_labels({**labels, 'le': _fmt(bound)})} {hit}"
-                )
-            self.lines.append(
-                f"{full}_sum{_labels(labels)} {_fmt(value)}"
-            )
-            self.lines.append(f"{full}_count{_labels(labels)} 1")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
 
 
 def metrics_to_prometheus(

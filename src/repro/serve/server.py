@@ -68,7 +68,6 @@ from repro.obs.httpd import ObservabilityHTTPServer
 from repro.obs.logs import JsonLogger
 from repro.obs.registry import MetricsRegistry, serve_families
 from repro.obs.slo import SloTracker
-from repro.runtime.shm import CstArena
 from repro.runtime.tracing import WALL, Tracer
 from repro.serve.admission import AdmissionController, CostEstimator
 from repro.serve.breaker import OPEN, CircuitBreaker
@@ -85,14 +84,6 @@ MANIFEST_NAME = "manifest.jsonl"
 #: Data graphs kept loaded at once (the stage cache bounds the CSTs
 #: built *on* them; this bounds the graphs themselves).
 DATASET_RESIDENCY = 4
-
-#: Recycle the server's shared-memory CST arena once this many placed
-#: bytes accumulate. A long-lived process-pool server reuses one arena
-#: across coalesced batches (resident CSTs keep their descriptors, so
-#: repeat batches place nothing new); the cap bounds /dev/shm growth
-#: from dataset churn — recycling just re-places on the next batch.
-ARENA_RECYCLE_BYTES = 256 << 20
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -279,7 +270,6 @@ class MatchServer:
         #: (job, admission decision, reserved estimate, resume path).
         self._queue: list[tuple[JobRequest, str, float, str | None]] = []
         self._seq = 0
-        self._arena: CstArena | None = None
         self._pool: WorkerPool | None = None
         self._manifest_fd: int | None = None
         self._recovered: list[tuple[JobRequest, str | None]] = []
@@ -403,9 +393,6 @@ class MatchServer:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
         self.log.info("server_closed")
         self.log.close()
 
@@ -573,54 +560,22 @@ class MatchServer:
             deadline_s=job.deadline_s,
         )
 
-    def _shared_arena(self) -> CstArena | None:
-        """The server's long-lived CST arena (process-pool mode only).
-
-        One arena spans every job and batch, so a resident CST's
-        shared-memory descriptors are placed once and reused by every
-        coalesced batch that hits the stage cache. Recycled (unlinked
-        and re-created) once :data:`ARENA_RECYCLE_BYTES` accumulate —
-        safe between jobs, since the server runs batches serially.
-        """
-        harness = self.config.harness
-        if (
-            harness.pool != "process"
-            or harness.workers <= 1
-            or not harness.shm
-        ):
-            return None
-        if self._arena is not None and not self._arena.closed:
-            if self._arena.placed_bytes <= ARENA_RECYCLE_BYTES:
-                return self._arena
-            self._arena.close()
-            self._arena = None
-            if self._pool is not None:
-                # Workers cached attachments into the old arena's
-                # segments; recycle them so the fresh arena's names
-                # never collide with stale maps.
-                self._pool.recycle()
-        try:
-            self._arena = CstArena()
-        except OSError:
-            self._arena = None
-        return self._arena
-
     def _shared_pool(self) -> WorkerPool | None:
         """The server's long-lived warm worker pool.
 
-        Mirrors :meth:`_shared_arena`: one supervised pool spans every
-        job and batch, so ``--pool process`` requests pay the worker
-        fork once per server lifetime instead of once per stage. The
-        pool is injected (not owned) into each job context; crashed or
-        stalled workers are respawned by the pool itself, so a batch
-        that kills a worker never poisons the next one.
+        One supervised pool spans every job and batch, so ``--workers
+        N`` requests pay the worker fork once per server lifetime
+        instead of once per stage, and a resident CST's shared-memory
+        descriptors (in the pool's arena) are placed once and reused by
+        every batch that hits the stage cache. The pool is injected
+        (not owned) into each job context; crashed or stalled workers
+        are respawned by the pool itself, so a batch that kills a
+        worker never poisons the next one. If the pool cannot be
+        created, job contexts fall back to their own (see
+        :meth:`~repro.runtime.context.RunContext.ensure_pool`).
         """
         harness = self.config.harness
-        if (
-            harness.pool != "process"
-            or harness.workers <= 1
-            or not harness.warm_pool
-        ):
+        if harness.workers <= 1:
             return None
         if self._pool is not None and not self._pool.closed:
             return self._pool
@@ -636,31 +591,30 @@ class MatchServer:
                     if harness.host_fault_rates is not None else None
                 ),
             )
+        pool = None
         try:
-            self._pool = WorkerPool(PoolConfig(
+            pool = WorkerPool(PoolConfig(
                 workers=harness.workers,
                 ttl=harness.pool_ttl,
-                chunk=harness.task_chunk,
                 watchdog_s=harness.pool_watchdog_s,
                 host_faults=host_faults,
             ))
-        except OSError:  # pragma: no cover - fork unavailable
-            self._pool = None
-        return self._pool
+            pool.ensure_workers()
+        except OSError:  # fork unavailable: contexts downgrade inline
+            if pool is not None:
+                pool.close()
+            pool = None
+        self._pool = pool
+        return pool
 
     def _make_context(self, harness_cfg: HarnessConfig):
         ctx = make_context(harness_cfg, cache=self.cache)
         if self.ledger is not None:
             ctx.health_ledger = self.ledger
         ctx.breaker = self.breaker
-        arena = self._shared_arena()
-        if arena is not None:
-            # Injected, not owned: the job context must not unlink the
-            # server's arena when it closes (RunContext.close()).
-            ctx.arena = arena
         pool = self._shared_pool()
         if pool is not None:
-            # Likewise injected: RunContext.ensure_pool() returns this
+            # Injected, not owned: RunContext.ensure_pool() returns this
             # shared pool and close() leaves it running for the next
             # batch (worker_pool_owned stays False).
             ctx.worker_pool = pool
@@ -829,9 +783,9 @@ class MatchServer:
                         degraded_reason=degraded_reason,
                     )
             finally:
-                # Closes the job journal; an arena the job context
-                # created for itself is unlinked too, while the
-                # server's injected shared arena is left alone.
+                # Closes the job journal; a pool the job context
+                # created for itself is stopped too, while the
+                # server's injected shared pool is left running.
                 ctx.close()
         assert response is not None
         if self.tracer.enabled:

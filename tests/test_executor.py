@@ -1,4 +1,4 @@
-"""Overlapped/double-buffered partition executor tests (ISSUE 3).
+"""Overlapped/double-buffered partition executor tests.
 
 Two headline properties:
 
@@ -13,7 +13,10 @@ Two headline properties:
 
 from __future__ import annotations
 
+import io
+import json
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +28,16 @@ from repro.experiments.harness import HarnessConfig, make_context, tight_config
 from repro.fpga.config import FpgaConfig
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.obs.logs import JsonLogger
+from repro.runtime import context as context_mod
 from repro.runtime.context import RunContext
 from repro.runtime.executor import (
     ExecutorConfig,
-    PartitionExecutor,
     overlap_timeline,
+    run_tasks,
 )
 from repro.runtime.faults import FaultPlan, RetryPolicy
+from repro.runtime.pool import PoolConfig, WorkerPool
 from repro.runtime.registry import REGISTRY
 
 FAST_VARIANTS = (
@@ -59,17 +65,30 @@ def dataset():
 
 
 def run_backend(name, dataset, query="q0", *, workers=1, buffers=1,
-                pool="thread", fpga=None, fault_plan=None,
-                retry_policy=None, **kwargs):
+                fpga=None, fault_plan=None, retry_policy=None, log=None,
+                **kwargs):
     ctx = RunContext(
         fpga=fpga or STRESS_FPGA,
         fault_plan=fault_plan,
         retry_policy=retry_policy or RetryPolicy(),
-        executor=ExecutorConfig(workers=workers, buffers=buffers,
-                                pool=pool),
+        executor=ExecutorConfig(workers=workers, buffers=buffers),
+        log=log,
     )
     q = get_query(query)
-    return REGISTRY.get(name).run(ctx, q.graph, dataset.graph, **kwargs)
+    try:
+        return REGISTRY.get(name).run(
+            ctx, q.graph, dataset.graph, **kwargs
+        )
+    finally:
+        ctx.close()
+
+
+def square(i):
+    return i * i
+
+
+def fail_task(i):
+    raise ValueError(f"task {i}")
 
 
 # ----------------------------------------------------------------------
@@ -125,13 +144,13 @@ class TestOverlapTimeline:
 
 
 # ----------------------------------------------------------------------
-# ExecutorConfig / PartitionExecutor mechanics
+# ExecutorConfig / run_tasks mechanics
 # ----------------------------------------------------------------------
 
 
 class TestExecutorMechanics:
     @pytest.mark.parametrize("bad", [
-        {"workers": 0}, {"buffers": 0}, {"pool": "fibers"},
+        {"workers": 0}, {"buffers": 0}, {"pool_ttl": -1},
     ])
     def test_config_validates(self, bad):
         with pytest.raises(DeviceError):
@@ -139,17 +158,24 @@ class TestExecutorMechanics:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_results_come_back_in_task_order(self, workers):
-        ex = PartitionExecutor(ExecutorConfig(workers=workers))
-        out = ex.map(lambda i: i * i, [(i,) for i in range(50)])
+        pool = WorkerPool(PoolConfig(workers=workers)) if workers > 1 \
+            else None
+        try:
+            out = run_tasks([(square, (i,)) for i in range(50)],
+                            pool=pool)
+        finally:
+            if pool is not None:
+                pool.close()
         assert out == [i * i for i in range(50)]
 
     def test_worker_exceptions_propagate(self):
-        def boom(i):
-            raise ValueError(f"task {i}")
-
-        ex = PartitionExecutor(ExecutorConfig(workers=4))
-        with pytest.raises(ValueError, match="task"):
-            ex.map(boom, [(i,) for i in range(8)])
+        pool = WorkerPool(PoolConfig(workers=4))
+        try:
+            with pytest.raises(ValueError, match="task"):
+                run_tasks([(fail_task, (i,)) for i in range(8)],
+                          pool=pool)
+        finally:
+            pool.close()
 
 
 # ----------------------------------------------------------------------
@@ -202,30 +228,57 @@ class TestWorkerDeterminism:
                              collect_results=True)
         assert pooled.raw.results == serial.raw.results
 
-    def test_process_pool_matches_thread_pool(self, dataset):
-        threaded = run_backend("fast-sep", dataset, workers=2)
-        forked = run_backend("fast-sep", dataset, workers=2,
-                             pool="process")
-        assert forked.embeddings == threaded.embeddings
-        assert forked.seconds == threaded.seconds
+    def test_process_pool_matches_serial(self, dataset):
+        serial = run_backend("fast-sep", dataset)
+        forked = run_backend("fast-sep", dataset, workers=2)
+        assert forked.embeddings == serial.embeddings
+        assert forked.seconds == serial.seconds
+        assert serial.metrics["stages"]["execute"]["pool"] == "inline"
+        assert forked.metrics["stages"]["execute"]["pool"] == "process"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_supervised_process_pool_runs_natively(self, seed, dataset):
-        """A fault plan no longer downgrades ``--pool process``: the
-        supervised ladder runs inside worker processes over the
-        shared-memory CST plane and matches serial bit-identically,
-        health record included."""
+        """Under a fault plan the supervised ladder runs inside worker
+        processes over the shared-memory CST plane and matches serial
+        bit-identically, health record included."""
         kwargs = dict(fault_plan=FaultPlan(seed=seed))
         serial = run_backend("fast-share", dataset, "q2", **kwargs)
         forked = run_backend("fast-share", dataset, "q2", workers=2,
-                             pool="process", **kwargs)
+                             **kwargs)
         assert forked.embeddings == serial.embeddings
         assert forked.seconds == serial.seconds
         assert forked.health == serial.health
         execute = forked.metrics["stages"]["execute"]
         assert execute["pool"] == "process"
-        assert execute["executor_pool_effective"] == "process"
+        assert "executor_pool_effective" not in execute
         assert execute["cst_plane"] == "shm"
+
+    @pytest.mark.parametrize("backend", ["fast-share", "multi-fpga"])
+    def test_fork_failure_downgrades_to_inline(self, backend, dataset,
+                                               monkeypatch):
+        """A pool that cannot fork runs the stage inline with one
+        ``pool_downgrade`` warning and log event; counts and modeled
+        seconds match the serial run exactly."""
+        serial = run_backend(backend, dataset, "q2")
+
+        def no_fork(*args, **kwargs):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(context_mod, "WorkerPool", no_fork)
+        sink = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            downgraded = run_backend(backend, dataset, "q2", workers=4,
+                                     log=JsonLogger(sink))
+        assert downgraded.embeddings == serial.embeddings
+        assert downgraded.seconds == serial.seconds
+        assert downgraded.metrics["stages"]["execute"]["pool"] == "inline"
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert len([m for m in messages if "worker pool" in m]) == 1
+        events = [json.loads(line)["event"]
+                  for line in sink.getvalue().splitlines()]
+        assert events.count("pool_downgrade") == 1
 
     def test_cpu_share_partitions_go_through_the_pool(self):
         """A high delta routes a real CPU share; modeled seconds stay
@@ -239,9 +292,12 @@ class TestWorkerDeterminism:
         )
         pooled_cfg = tight_config(HarnessConfig(delta=0.4, workers=4))
         pooled_ctx = make_context(pooled_cfg)
-        pooled = REGISTRY.get("fast-share").run(
-            pooled_ctx, q.graph, data.graph
-        )
+        try:
+            pooled = REGISTRY.get("fast-share").run(
+                pooled_ctx, q.graph, data.graph
+            )
+        finally:
+            pooled_ctx.close()
         cpu_csts = serial.metrics["stages"]["schedule"]["cpu_csts"]
         assert cpu_csts > 0
         assert pooled.embeddings == serial.embeddings
@@ -256,7 +312,7 @@ class TestWorkerDeterminism:
 class TestModeledOverlap:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_single_buffer_matches_legacy_model(self, backend, dataset):
-        """workers and pool choice never perturb the buffers=1 model."""
+        """The worker count never perturbs the buffers=1 model."""
         legacy = run_backend(backend, dataset)
         pooled = run_backend(backend, dataset, workers=4, buffers=1)
         assert pooled.seconds == legacy.seconds

@@ -253,8 +253,10 @@ class TestRunJournal:
 
 
 def strip_wall(metrics_dict):
-    """Metrics payload minus wall-clock times (machine-dependent) and
-    journal bookkeeping (differs between fresh and resumed by design)."""
+    """Metrics payload minus wall-clock times (machine-dependent),
+    journal bookkeeping and worker-pool dispatch counters (both differ
+    between fresh and resumed by design: a resumed run dispatches
+    fewer tasks)."""
 
     def clean(obj):
         if isinstance(obj, dict):
@@ -262,6 +264,7 @@ def strip_wall(metrics_dict):
                 k: clean(v) for k, v in obj.items()
                 if k not in ("wall_seconds", "journaled", "journal_path",
                              "resumed_partitions", "resumed_devices")
+                and not k.startswith("pool_")
             }
         return obj
 

@@ -529,7 +529,7 @@ class TestLiveEndpoint:
 def traced_run(workers):
     """One fast-share run through the warm process pool, traced."""
     config = tight_config(HarnessConfig(
-        use_cache=False, trace=True, pool="process", workers=workers,
+        use_cache=False, trace=True, workers=workers,
     ))
     ctx = make_context(config)
     try:

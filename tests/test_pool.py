@@ -1,7 +1,8 @@
-"""Unit tests for the supervised warm worker pool (ISSUE 9).
+"""Unit tests for the supervised warm worker pool.
 
 Everything here is in-process: the pool's own supervision (respawn,
-re-dispatch, hedge, quarantine, shm fallback, ttl recycle) recovers
+re-dispatch, hedge, quarantine, shm fallback, ttl recycle, chunking,
+CST transport) recovers
 from real worker SIGKILLs without taking pytest down. Whole-pipeline
 chaos runs live in ``test_pool_chaos.py``; the orphan-tether tests
 spawn subprocesses because parent death cannot be simulated in-process.
@@ -20,17 +21,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.errors import (
-    DeviceError,
-    WorkerCrashError,
-    WorkerShmLost,
-)
-from repro.runtime.executor import ExecutorConfig, PartitionExecutor
+from repro.common.errors import DeviceError, WorkerCrashError
+from repro.cst.builder import build_cst
+from repro.cst.partition import PartitionLimits, partition_to_list
+from repro.ldbc.datasets import load_dataset
+from repro.ldbc.queries import get_query
+from repro.query.ordering import path_based_order
+from repro.runtime import pool as pool_mod
+from repro.runtime import shm
+from repro.runtime.executor import run_tasks
 from repro.runtime.faults import (
     HOST_FAULT_KINDS,
     HostFaultPlan,
 )
-from repro.runtime.pool import PoolConfig, WorkerPool
+from repro.runtime.pool import PoolConfig, WorkerPool, derive_chunk
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,8 +74,45 @@ def missing_segment(x):
     raise FileNotFoundError(f"/dev/shm/psm_gone_{x}")
 
 
-def fb_value(x):
-    return ("fb", x)
+def cst_digest(cst):
+    """A value that depends on every array of ``cst`` (or of each CST
+    in a tuple), plus whether the task saw shared-memory views."""
+    if isinstance(cst, tuple):
+        return tuple(cst_digest(c) for c in cst)
+    return (
+        tuple(int(c.sum()) for c in cst.candidates),
+        tuple(
+            (edge, int(adj.indptr.sum()), int(adj.targets.sum()))
+            for edge, adj in sorted(cst.adjacency.items())
+        ),
+        cst.size_bytes(),
+    )
+
+
+def cst_task(tag, cst):
+    return (tag, cst_digest(cst))
+
+
+@pytest.fixture(scope="module")
+def partitions():
+    """A real partition stream of DG-MICRO/q0 (shared parent arrays)."""
+    data = load_dataset("DG-MICRO").graph
+    cst = build_cst(get_query("q1").graph, data)
+    order = path_based_order(cst.tree, data)
+    parts, _stats = partition_to_list(
+        cst, order, PartitionLimits(max_bytes=2048, max_degree=8)
+    )
+    assert len(parts) >= 6
+    return parts
+
+
+def cst_tasks(parts):
+    """One single-CST task per partition plus one tuple-of-CSTs task
+    (a multi-FPGA device queue)."""
+    return [
+        *[(cst_task, (i, p)) for i, p in enumerate(parts)],
+        (cst_task, ("queue", tuple(parts[:3]))),
+    ]
 
 
 def make_pool(**kwargs):
@@ -84,7 +125,7 @@ class TestPoolConfig:
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"ttl": -1},
-        {"chunk": 0},
+        {"workers": -1},
         {"watchdog_s": -1.0},
         {"max_crashes": 0},
         {"heartbeat_s": 0.0},
@@ -95,7 +136,6 @@ class TestPoolConfig:
 
     def test_errors_are_typed_and_transient(self):
         assert WorkerCrashError("x").transient
-        assert issubclass(WorkerShmLost, WorkerCrashError)
 
 
 class TestWorkerPoolBasics:
@@ -129,18 +169,41 @@ class TestWorkerPoolBasics:
         finally:
             pool.close()
 
-    def test_chunking_matches_unchunked_results(self):
+    def test_chunking_matches_unchunked_results(self, monkeypatch):
         tasks = [(double, (i,)) for i in range(13)]
-        plain = make_pool(chunk=1)
-        chunked = make_pool(chunk=5)
+        plain = make_pool()
+        chunked = make_pool()
         try:
-            assert plain.run(tasks) == chunked.run(tasks)
+            monkeypatch.setattr(pool_mod, "derive_chunk", lambda p, w: 1)
+            unchunked_results = plain.run(tasks)
+            monkeypatch.setattr(pool_mod, "derive_chunk", lambda p, w: 5)
+            assert chunked.run(tasks) == unchunked_results
             # 13 tasks at chunk=5 dispatch as ceil(13/5)=3 chunks.
             assert chunked.stats.chunks == 3
             assert plain.stats.chunks == 13
         finally:
             plain.close()
             chunked.close()
+
+    @pytest.mark.parametrize("pending", [1, "workers", 1304])
+    def test_derived_chunk_covers_every_task_once(self, pending):
+        workers = 2
+        pending = workers if pending == "workers" else pending
+        size = derive_chunk(pending, workers)
+        assert size == -(-pending // (8 * workers))
+        pool = make_pool(workers=workers)
+        try:
+            seen = []
+            results = pool.run(
+                [(double, (i,)) for i in range(pending)],
+                on_result=lambda i, v: seen.append(i),
+            )
+            assert results == [2 * i for i in range(pending)]
+            assert sorted(seen) == list(range(pending))  # once each
+            assert pool.stats.chunks == -(-pending // size)
+            assert pool.stats.chunks <= 8 * workers
+        finally:
+            pool.close()
 
     def test_warm_reuse_across_runs(self):
         pool = make_pool(workers=2)
@@ -308,27 +371,41 @@ class TestSupervision:
         finally:
             pool.close()
 
-    def test_injected_shm_loss_uses_fallback(self):
-        plan = quiet_plan(shm_unlink={2: 1})
-        pool = make_pool(host_faults=plan)
+    def test_injected_shm_loss_uses_fallback(self, partitions,
+                                             monkeypatch):
+        """Tasks holding a CST or a tuple of CSTs return identical
+        results inline, over shm, after an injected ``shm_unlink``
+        (re-sent pickled), and over pickle when no arena exists."""
+        tasks = cst_tasks(partitions)
+        inline = run_tasks(tasks)
+
+        pool = make_pool()
         try:
-            results = pool.run(
-                [(double, (i,)) for i in range(5)],
-                uses_shm=[True] * 5,
-                fallback=lambda i: (fb_value, (i,)),
-            )
-            assert results[2] == ("fb", 2)
-            assert [results[i] for i in (0, 1, 3, 4)] == [0, 2, 6, 8]
-            assert pool.stats.shm_fallbacks == 1
+            assert pool.run(tasks) == inline
+            assert pool.cst_plane == "shm"
+            assert pool.stats.shm_fallbacks == 0
         finally:
             pool.close()
 
-    def test_injected_shm_loss_without_fallback_is_typed(self):
-        plan = quiet_plan(shm_unlink={0: 1})
-        pool = make_pool(host_faults=plan)
+        last = len(tasks) - 1  # the tuple-of-CSTs task
+        pool = make_pool(host_faults=quiet_plan(shm_unlink={2: 1,
+                                                            last: 1}))
         try:
-            with pytest.raises(WorkerShmLost):
-                pool.run([(double, (0,))], uses_shm=[True])
+            assert pool.run(tasks) == inline
+            assert pool.stats.shm_fallbacks == 2
+        finally:
+            pool.close()
+
+        def no_arena(*args, **kwargs):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(shm, "CstArena", no_arena)
+        pool = make_pool(host_faults=quiet_plan(shm_unlink={2: 1}))
+        try:
+            assert pool.run(tasks) == inline
+            assert pool.cst_plane == "pickle"
+            # Pickled tasks have no segment to lose.
+            assert pool.stats.shm_fallbacks == 0
         finally:
             pool.close()
 
@@ -336,24 +413,34 @@ class TestSupervision:
         plan = quiet_plan(shm_unlink={1: 1})
         pool = make_pool(host_faults=plan)
         try:
-            # uses_shm defaults to False: the shm_unlink target never
-            # fires and no fallback is needed.
+            # Tasks without CST arguments travel pickled: the
+            # shm_unlink target never fires and nothing is re-sent.
             assert pool.run(
                 [(double, (i,)) for i in range(3)]
             ) == [0, 2, 4]
             assert pool.stats.shm_fallbacks == 0
+            assert pool.cst_plane is None
         finally:
             pool.close()
 
-    def test_real_missing_segment_takes_fallback_path(self):
+    def test_real_missing_segment_takes_fallback_path(self, partitions,
+                                                      monkeypatch):
+        class VanishingArena(shm.CstArena):
+            """Segments unlinked right after creation: the parent
+            keeps its mapping, workers find nothing to attach."""
+
+            def _grow(self, nbytes):
+                super()._grow(nbytes)
+                self._segments[-1].unlink()
+
+        monkeypatch.setattr(shm, "CstArena", VanishingArena)
+        tasks = cst_tasks(partitions)[:3]
         pool = make_pool()
         try:
-            results = pool.run(
-                [(missing_segment, (i,)) for i in range(3)],
-                uses_shm=[True] * 3,
-                fallback=lambda i: (fb_value, (i,)),
-            )
-            assert results == [("fb", i) for i in range(3)]
+            # Fork before the arena exists, so no worker inherits the
+            # parent's mapping of the vanished segment.
+            pool.ensure_workers()
+            assert pool.run(tasks) == run_tasks(tasks)
             assert pool.stats.shm_fallbacks == 3
         finally:
             pool.close()
@@ -402,33 +489,44 @@ class TestSupervision:
 
 
 class TestLegacyBrokenPool:
-    """Satellite 1: the cold ``ProcessPoolExecutor`` path survives a
-    broken pool with one inline serial re-run."""
-
-    def cold_executor(self):
-        return PartitionExecutor(
-            ExecutorConfig(pool="process", workers=2)
-        )
+    """The crash scenarios the removed per-stage ``ProcessPoolExecutor``
+    salvaged by an inline re-run, replayed on the warm pool: tasks that
+    kill every worker end up quarantined inline, exactly once."""
 
     def test_broken_pool_reruns_lost_tasks_inline(self):
-        seen = []
-        results = self.cold_executor().run(
-            [(kill_if_worker, (i, os.getpid())) for i in range(4)],
-            on_result=lambda i, v: seen.append(i),
-        )
-        assert results == [0, 3, 6, 9]
-        assert sorted(seen) == [0, 1, 2, 3]  # delivered exactly once
+        pool = make_pool()
+        try:
+            seen = []
+            results = pool.run(
+                [(kill_if_worker, (i, os.getpid())) for i in range(4)],
+                on_result=lambda i, v: seen.append(i),
+            )
+            assert results == [0, 3, 6, 9]
+            assert sorted(seen) == [0, 1, 2, 3]  # delivered exactly once
+            assert pool.stats.quarantines == 4
+        finally:
+            pool.close()
 
     def test_partial_completion_is_salvaged(self):
-        results = self.cold_executor().run(
-            [(kill_if_worker_and_odd, (i, os.getpid()))
-             for i in range(6)],
-        )
-        assert results == [3 * i for i in range(6)]
+        pool = make_pool()
+        try:
+            results = pool.run(
+                [(kill_if_worker_and_odd, (i, os.getpid()))
+                 for i in range(6)],
+            )
+            assert results == [3 * i for i in range(6)]
+            assert pool.stats.quarantines == 3  # only the odd tasks
+        finally:
+            pool.close()
 
     def test_task_exception_is_not_mistaken_for_a_crash(self):
-        with pytest.raises(ValueError, match="boom 1"):
-            self.cold_executor().run([(double, (0,)), (boom, (1,))])
+        pool = make_pool()
+        try:
+            with pytest.raises(ValueError, match="boom 1"):
+                pool.run([(double, (0,)), (boom, (1,))])
+            assert pool.stats.respawns == 0
+        finally:
+            pool.close()
 
 
 ORPHAN_SCRIPT = textwrap.dedent("""

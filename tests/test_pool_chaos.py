@@ -71,7 +71,6 @@ def run_once(backend, *, dataset="DG-MINI", query="q1", **overrides):
 
 def chaos_kwargs(seed, **extra):
     kwargs = dict(
-        pool="process",
         workers=3,
         host_fault_seed=seed,
         pool_watchdog_s=0.3,
@@ -114,18 +113,9 @@ class TestSeededHostFaults:
         baseline = run_once("fast-share")
         chaotic = run_once(
             "fast-share",
-            **chaos_kwargs(7, task_chunk=4, pool_ttl=3),
+            **chaos_kwargs(7, pool_ttl=3),
         )
         assert chaotic == baseline
-
-    def test_cold_pool_fallback_is_identical_too(self):
-        # --cold-pool keeps the legacy per-stage executor; results
-        # must match the warm pool and the serial baseline.
-        baseline = run_once("fast-share")
-        cold = run_once(
-            "fast-share", pool="process", workers=3, warm_pool=False,
-        )
-        assert cold == baseline
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [3, 5, 11, 13, 29])
@@ -138,7 +128,7 @@ class TestExternalKiller:
     def test_sigkill_worker_mid_pipeline(self):
         baseline = run_once("fast-share")
         config = tight_config(HarnessConfig(
-            use_cache=False, pool="process", workers=3,
+            use_cache=False, workers=3,
         ))
         ctx = make_context(config)
         killed = []
@@ -185,11 +175,10 @@ CHILD_SCRIPT = textwrap.dedent("""
     from repro.ldbc.queries import get_query
     from repro.runtime.registry import REGISTRY
 
-    backend, journal, mode, host_seed, workers, pool = sys.argv[1:7]
+    backend, journal, mode, host_seed, workers = sys.argv[1:6]
     config = tight_config(HarnessConfig(
         use_cache=False,
         workers=int(workers),
-        pool=pool,
         pool_watchdog_s=0.3,
         host_fault_seed=None if host_seed == "-" else int(host_seed),
         journal_path=journal if mode == "record" else None,
@@ -209,7 +198,7 @@ CHILD_SCRIPT = textwrap.dedent("""
 
 
 def run_child(backend, journal, mode, *, host_seed=None, workers=1,
-              pool="thread", crash_after=None):
+              crash_after=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_JOURNAL_CRASH_AFTER", None)
@@ -218,7 +207,7 @@ def run_child(backend, journal, mode, *, host_seed=None, workers=1,
     return subprocess.run(
         [sys.executable, "-c", CHILD_SCRIPT, backend, str(journal),
          mode, "-" if host_seed is None else str(host_seed),
-         str(workers), pool],
+         str(workers)],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         timeout=300,
     )
@@ -236,7 +225,7 @@ class TestKillResumeUnderChaos:
 
         killed = run_child(
             "fast-sep", journal, "record",
-            host_seed=7, workers=3, pool="process", crash_after=5,
+            host_seed=7, workers=3, crash_after=5,
         )
         assert killed.returncode == -signal.SIGKILL, (
             f"expected SIGKILL, got rc={killed.returncode}: "
@@ -248,7 +237,7 @@ class TestKillResumeUnderChaos:
 
         resumed = run_child(
             "fast-sep", journal, "resume",
-            host_seed=7, workers=3, pool="process",
+            host_seed=7, workers=3,
         )
         assert resumed.returncode == 0, resumed.stderr[-800:]
         assert resumed.stdout == baseline.stdout
@@ -280,7 +269,7 @@ class TestServeWarmPool:
     def test_batches_share_one_pool_of_workers(self):
         lines = [request_line(f"job-{i}") for i in range(4)]
         harness = tight_config(HarnessConfig(
-            use_cache=False, pool="process", workers=2,
+            use_cache=False, workers=2,
         ))
         server, responses = self.serve_once(harness, lines)
         try:
@@ -300,7 +289,7 @@ class TestServeWarmPool:
         lines = [request_line(f"job-{i}") for i in range(3)]
         _server, warm = self.serve_once(
             tight_config(HarnessConfig(
-                use_cache=False, pool="process", workers=2,
+                use_cache=False, workers=2,
             )),
             lines,
         )
@@ -320,7 +309,7 @@ class TestServeWarmPool:
         lines = [request_line(f"job-{i}") for i in range(3)]
         _server, faulted = self.serve_once(
             tight_config(HarnessConfig(
-                use_cache=False, pool="process", workers=2,
+                use_cache=False, workers=2,
                 host_fault_seed=7, pool_watchdog_s=0.3,
             )),
             lines,

@@ -1,4 +1,4 @@
-"""Shared-memory CST plane tests (ISSUE 8).
+"""Shared-memory CST plane tests.
 
 Two properties carry the whole design:
 
@@ -8,20 +8,27 @@ Two properties carry the whole design:
   including empty candidate sets and single-vertex partitions — so a
   process worker computes on precisely the structure the parent
   partitioned (hypothesis-tested over random graphs and queries).
-* **Segments never leak.** The arena unlinks its ``/dev/shm`` entries
-  on normal close, on exceptions mid-execute, at interpreter exit via
-  the atexit guard, and — through the ``multiprocessing`` resource
-  tracker — after a SIGKILL mid-run followed by ``--resume``.
+* **Segments never leak.** The worker pool's arena unlinks its
+  ``/dev/shm`` entries on normal close, on exceptions mid-execute, at
+  interpreter exit via the atexit guard, and — through the
+  ``multiprocessing`` resource tracker — after a SIGKILL mid-run
+  followed by ``--resume``.
+* **Losing the plane is visible, never wrong.** When no arena can be
+  created, CSTs travel pickled with identical results, one
+  ``RuntimeWarning`` and one ``shm_downgrade`` log event per run.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -44,8 +51,11 @@ from repro.ldbc.queries import get_query
 from repro.query.ordering import path_based_order
 from repro.query.query_graph import as_query
 from repro.query.spanning_tree import build_bfs_tree
+from repro.obs.logs import JsonLogger
+from repro.runtime import shm
 from repro.runtime.context import CancellationToken, RunContext
-from repro.runtime.executor import ExecutorConfig
+from repro.runtime.executor import ExecutorConfig, run_tasks
+from repro.runtime.pool import PoolConfig, WorkerPool
 from repro.runtime.registry import REGISTRY
 from repro.runtime.shm import ArrayRef, CstArena
 
@@ -75,6 +85,16 @@ def segment_exists(name: str) -> bool:
         pass
     probe.close()
     return True
+
+
+def cst_bytes(cst: CST) -> int:
+    return cst.size_bytes()
+
+
+def cst_pool_tasks(graph: Graph) -> list:
+    """Two tasks that each carry a CST, so a pool run places it."""
+    cst = build_cst(get_query("q0").graph, graph)
+    return [(cst_bytes, (cst,)), (cst_bytes, (cst,))]
 
 
 def assert_roundtrip_exact(cst: CST, arena: CstArena) -> CST:
@@ -297,29 +317,70 @@ class TestArenaLifecycle:
         assert not any(segment_exists(n) for n in names)
         arena.close()  # idempotent
 
-    def test_context_close_unlinks_owned_arena(self):
-        ctx = RunContext()
-        arena = ctx.ensure_arena()
-        assert arena is not None
-        arena.place(np.arange(32, dtype=np.int64))
-        names = arena.segment_names()
+    def test_context_close_unlinks_owned_arena(self, micro_graph):
+        ctx = RunContext(executor=ExecutorConfig(workers=2))
+        pool = ctx.ensure_pool()
+        assert pool is not None
+        run_tasks(cst_pool_tasks(micro_graph), pool=pool)
+        names = pool.arena.segment_names()
+        assert names and all(segment_exists(n) for n in names)
         ctx.close()
         assert not any(segment_exists(n) for n in names)
-        assert ctx.arena is None
+        assert ctx.worker_pool is None and pool.closed
 
-    def test_context_close_spares_injected_arena(self):
-        arena = CstArena()
+    def test_context_close_spares_injected_arena(self, micro_graph):
+        pool = WorkerPool(PoolConfig(workers=2))
         try:
-            arena.place(np.arange(16, dtype=np.int64))
-            ctx = RunContext()
-            ctx.arena = arena  # injected: serving-layer style
-            assert ctx.ensure_arena() is arena
-            names = arena.segment_names()
+            ctx = RunContext(executor=ExecutorConfig(workers=2))
+            ctx.worker_pool = pool  # injected: serving-layer style
+            assert ctx.ensure_pool() is pool
+            run_tasks(cst_pool_tasks(micro_graph), pool=pool)
+            names = pool.arena.segment_names()
             ctx.close()
             assert all(segment_exists(n) for n in names)
-            assert not arena.closed
+            assert not pool.closed and not pool.arena.closed
         finally:
-            arena.close()
+            pool.close()
+        assert not any(segment_exists(n) for n in names)
+
+    @pytest.mark.parametrize("backend", ["fast-share", "multi-fpga"])
+    def test_arena_unavailable_downgrades_once(self, backend,
+                                               micro_graph, monkeypatch):
+        """No shared memory: CSTs travel pickled with identical counts
+        and modeled seconds, one warning and one ``shm_downgrade``
+        event carrying the owning request id."""
+        q = get_query("q1")
+        serial_ctx = RunContext(fpga=STRESS_FPGA)
+        serial = REGISTRY.get(backend).run(serial_ctx, q.graph,
+                                           micro_graph)
+
+        def no_arena(*args, **kwargs):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(shm, "CstArena", no_arena)
+        sink = io.StringIO()
+        ctx = RunContext(fpga=STRESS_FPGA,
+                         executor=ExecutorConfig(workers=2),
+                         log=JsonLogger(sink))
+        ctx.tracer.set_request("job-7")
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = REGISTRY.get(backend).run(ctx, q.graph,
+                                                micro_graph)
+        finally:
+            ctx.close()
+        assert out.embeddings == serial.embeddings
+        assert out.seconds == serial.seconds
+        execute = out.metrics["stages"]["execute"]
+        assert execute["pool"] == "process"
+        assert execute["cst_plane"] == "pickle"
+        assert len([w for w in caught
+                    if "shared-memory" in str(w.message)]) == 1
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        downgrades = [e for e in events if e["event"] == "shm_downgrade"]
+        assert len(downgrades) == 1
+        assert downgrades[0]["request_id"] == "job-7"
 
     def test_exception_mid_execute_unlinks_on_close(self, micro_graph):
         """A deadline cancellation mid-dispatch must not leak segments:
@@ -336,13 +397,14 @@ class TestArenaLifecycle:
         budget = pre_execute + (baseline.seconds - pre_execute) * 0.5
         ctx = RunContext(
             fpga=STRESS_FPGA,
-            executor=ExecutorConfig(workers=4, pool="process"),
+            executor=ExecutorConfig(workers=4),
             cancellation=CancellationToken(budget_s=budget),
         )
         with pytest.raises(DeadlineExceededError):
             REGISTRY.get("fast-sep").run(ctx, q.graph, micro_graph)
-        assert ctx.arena is not None  # dispatch really started
-        names = ctx.arena.segment_names()
+        arena = ctx.worker_pool.arena
+        assert arena is not None  # dispatch really started
+        names = arena.segment_names()
         assert names
         ctx.close()
         assert not any(segment_exists(n) for n in names)
@@ -368,7 +430,7 @@ class TestArenaLifecycle:
         assert not any(segment_exists(n) for n in names)
 
 
-#: Child for the SIGKILL leak test: a journaled process-pool run that
+#: Child for the SIGKILL leak test: a journaled worker-pool run that
 #: the ``REPRO_JOURNAL_CRASH_AFTER`` hook SIGKILLs mid-execute.
 KILL_CHILD = textwrap.dedent("""
     import sys
@@ -383,7 +445,6 @@ KILL_CHILD = textwrap.dedent("""
     journal, mode = sys.argv[1:3]
     config = tight_config(HarnessConfig(
         workers=4,
-        pool="process",
         journal_path=journal if mode == "record" else None,
         resume_path=journal if mode == "resume" else None,
     ))
