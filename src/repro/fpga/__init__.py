@@ -11,17 +11,7 @@ from repro.fpga.cycles import (
 )
 from repro.fpga.engine import VARIANTS, FastEngine
 from repro.fpga.fifo import Fifo
-from repro.fpga.kernel import (
-    DepthBuffer,
-    MatchPlan,
-    RoundBatch,
-    build_plan,
-    edge_validate,
-    expand_root,
-    generate,
-    synchronize,
-    visited_validate,
-)
+from repro.fpga.kernel import MatchPlan, build_plan
 from repro.fpga.pipeline import (
     chained,
     overlapped,
@@ -36,22 +26,17 @@ from repro.fpga.resources import (
 )
 
 __all__ = [
-    "DepthBuffer",
     "FastEngine",
     "Fifo",
     "FpgaConfig",
     "KernelReport",
     "MatchPlan",
     "ResourceEstimate",
-    "RoundBatch",
     "SLOT_ENTRY_BYTES",
     "VARIANTS",
     "build_plan",
     "chained",
-    "edge_validate",
     "estimate_resources",
-    "expand_root",
-    "generate",
     "l_basic",
     "l_sep",
     "l_serial",
@@ -62,6 +47,4 @@ __all__ = [
     "predicted_speedup_sep_over_task",
     "predicted_speedup_task_over_basic",
     "serial_cycles",
-    "synchronize",
-    "visited_validate",
 ]

@@ -1,24 +1,43 @@
-"""The FAST kernel modules (Algorithms 4-8), batch-vectorised.
+"""The FAST kernel modules (Algorithms 4-8), chunk-vectorised.
 
 The paper decomposes matching into *Generator*, *Visited Validator*,
 *Edge Validator* and *Synchronizer* so that each step processes
 thousands of partial results per round with no loop-carried
-dependencies. This module implements exactly those four steps over
-numpy batches:
+dependencies. This module implements those four steps over numpy
+arrays, one call per *chunk* of consecutive rounds (spanning any
+number of buffer windows) rather than one per ``N_o`` round, and
+splits the work in two:
 
-* a :class:`DepthBuffer` holds all partial results of one depth (the
-  BRAM-only intermediate buffer of Section VI-B);
-* :func:`generate` pops partials from a buffer and expands up to
-  ``N_o`` new ones through the anchor adjacency row (Algorithm 5);
+*Functional* - what the card computes. A chunk is a contiguous range
+of a depth's *extension stream*: partial ``j`` of the depth's *feed*
+(the partials handed down by one chunk one depth up) owns extensions
+``[P[j], P[j + 1])``, where ``P`` is the prefix sum of its anchor-row
+lengths.
+
+* :func:`generate` expands an extension range through the anchor
+  adjacency rows (Algorithm 5), returning only the parent index and
+  the new candidate of each extension - no full rows;
 * :func:`visited_validate` marks injectivity violations (Algorithm 6);
 * :func:`edge_validate` probes CST candidate edges for every
   previously-matched non-anchor neighbour (Algorithm 7);
-* :func:`synchronize` filters by both bit vectors (Algorithm 8) -
-  routing to the next buffer or the result set is the engine's job.
+* :func:`synchronize` gathers full partials for the extensions both
+  validators passed, and for those only (Algorithm 8).
 
-Everything is positional: a partial result is a row of candidate
-*positions* aligned with the matching order, plus the parallel row of
-data-vertex ids used for the visited check.
+*Accounting* - when the card computes it. :func:`round_schedule`
+replays the deepest-first rounds of Section VI-B from ``P`` alone: a
+depth buffer is refilled only once drained, so it receives one
+*window* (one round's at most ``N_o`` survivors) at a time and every
+round pops a contiguous ``N_o``-extension slice of that window's
+stream. Each depth is therefore a FIFO and its rounds, in DFS order,
+are its extension stream cut at window boundaries and every ``N_o``
+extensions inside a window. Per-round ``N``, ``M`` and pops - all
+that Equations 2-4 consume - follow from ``P`` with one vectorised
+``searchsorted``, independent of how the stream is chunked.
+
+Everything is positional: a set of partial results is stored column
+by column, one array of candidate *positions* per matched query vertex
+in matching order; a data-vertex id is read through the column's
+candidate set when the visited check needs it.
 """
 
 from __future__ import annotations
@@ -27,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import BufferOverflowError, DeviceError, QueryError
+from repro.common.errors import DeviceError, QueryError
 from repro.cst.structure import CST
 from repro.query.ordering import validate_order
 from repro.query.query_graph import QueryGraph
@@ -86,70 +105,6 @@ def build_plan(query: QueryGraph, order: tuple[int, ...]) -> MatchPlan:
     )
 
 
-class DepthBuffer:
-    """All partial results of one depth, stored as matrices.
-
-    ``pos``/``ids`` have one row per partial; ``front`` is the pop
-    cursor and ``front_offset`` the number of extension candidates
-    already consumed from the front entry's adjacency row (a partial
-    whose candidate row exceeds the round budget is resumed later, as
-    Section VI-B prescribes).
-    """
-
-    __slots__ = ("depth", "capacity", "pos", "ids", "front", "front_offset",
-                 "peak")
-
-    def __init__(self, depth: int, capacity: int) -> None:
-        self.depth = depth
-        self.capacity = capacity
-        self.pos = np.empty((0, depth), dtype=np.int64)
-        self.ids = np.empty((0, depth), dtype=np.int64)
-        self.front = 0
-        self.front_offset = 0
-        self.peak = 0
-
-    def __len__(self) -> int:
-        return len(self.pos) - self.front
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
-    def fill(self, pos: np.ndarray, ids: np.ndarray) -> None:
-        """Load a fresh batch; the buffer must currently be empty.
-
-        The deepest-first expansion policy guarantees a buffer is only
-        written when drained, which is what bounds each depth at
-        ``N_o`` entries; violations raise :class:`BufferOverflowError`.
-        """
-        if not self.is_empty:
-            raise BufferOverflowError(
-                f"depth-{self.depth} buffer written while non-empty"
-            )
-        if len(pos) > self.capacity:
-            raise BufferOverflowError(
-                f"depth-{self.depth} buffer received {len(pos)} partials "
-                f"but holds only {self.capacity}"
-            )
-        self.pos = pos
-        self.ids = ids
-        self.front = 0
-        self.front_offset = 0
-        self.peak = max(self.peak, len(pos))
-
-
-@dataclass
-class RoundBatch:
-    """Output of one Generator round at one step."""
-
-    step: int
-    pos: np.ndarray          # (n_new, step + 1) candidate positions
-    ids: np.ndarray          # (n_new, step + 1) data-vertex ids
-    n_consumed: int          # buffer entries fully consumed
-    n_new: int               # |P_o| of this round
-    n_tasks: int             # |T_n| of this round
-
-
 def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[i], starts[i] + lens[i])`` segments."""
     total = int(lens.sum())
@@ -161,172 +116,136 @@ def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - shift, lens) + np.arange(total, dtype=np.int64)
 
 
-def generate(
-    cst: CST,
-    plan: MatchPlan,
-    buffer: DepthBuffer,
-    step: int,
-    budget: int,
-) -> RoundBatch:
-    """Algorithm 5: expand up to ``budget`` partials from ``buffer``.
+def round_schedule(
+    ext_prefix: np.ndarray, windows: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Replay the ``N_o``-round schedule of one depth's feed.
 
-    Pops entries from the buffer front; an entry whose extension row
-    does not fully fit the budget keeps its cursor for the next round.
+    ``ext_prefix`` is ``P`` (length ``F + 1``, ``P[0] == 0``) over the
+    feed's ``F`` partials and ``windows`` the feed-row boundaries of
+    its buffer windows (length ``W + 1``, ``windows[0] == 0``). Returns
+    ``(ext_end, n_new, n_pop, round_offsets)``: per round, in DFS
+    order, the end of its extension slice, ``|P_o|`` and the buffer
+    entries it fully consumed, plus each window's round range
+    ``round_offsets[w]:round_offsets[w + 1]``.
+
+    A window of ``T`` extensions takes ``ceil(T / N_o)`` rounds, or
+    one round if all its rows are empty; an empty window takes none.
+    An entry is consumed by the round whose slice reaches its row end
+    (zero-length rows included), and the window's last round drains
+    the buffer.
     """
     if budget < 1:
         raise DeviceError("generator budget must be >= 1")
+    rows_end = ext_prefix[1:]
+    w_start = ext_prefix[windows[:-1]]
+    w_end = ext_prefix[windows[1:]]
+    per_window = np.where(
+        np.diff(windows) > 0,
+        np.maximum(1, -(-(w_end - w_start) // budget)),
+        0,
+    )
+    round_offsets = np.concatenate(([0], np.cumsum(per_window)))
+    owner = np.repeat(np.arange(len(per_window)), per_window)
+    k = np.arange(round_offsets[-1]) - round_offsets[owner]
+    start = w_start[owner] + k * budget
+    ext_end = np.minimum(start + budget, w_end[owner])
+    row_end = np.where(
+        k == per_window[owner] - 1,
+        windows[owner + 1],
+        np.searchsorted(rows_end, ext_end, side="right"),
+    )
+    n_pop = np.diff(row_end, prepend=0)
+    return ext_end, ext_end - start, n_pop, round_offsets
+
+
+def generate(
+    cst: CST,
+    plan: MatchPlan,
+    step: int,
+    anchor_pos: np.ndarray,
+    ext_prefix: np.ndarray,
+    ext_lo: int,
+    ext_hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 5: expand extensions ``[ext_lo, ext_hi)`` of a feed.
+
+    ``anchor_pos`` is the feed's anchor column (the candidate position
+    of ``plan.anchor_vertex[step]`` in every partial) and
+    ``ext_prefix`` its ``P``. A slice may start or end inside a
+    partial's anchor row - exactly where a round budget cuts it.
+    Returns ``(parent, new_pos, new_ids)``: each extension's feed row
+    and the position and data-vertex id of its new candidate.
+    """
     u = plan.order[step]
-    anchor = plan.anchor_vertex[step]
-    adj = cst.adjacency[(anchor, u)]
-
-    avail = len(buffer)
-    anchor_col = plan.anchor_col[step]
-    all_lens = adj.row_lens_array()
-
-    # Scan buffer entries in windows of roughly one budget's worth
-    # instead of gathering the whole remaining suffix every round (the
-    # suffix can be orders of magnitude larger than one round's
-    # consumption). The scan keeps extending while the running total is
-    # still <= budget, so trailing zero-length rows that fit under the
-    # budget are consumed this round — exactly the rows a full-suffix
-    # ``searchsorted(cum, budget, side="right")`` would take.
-    chunk = max(64, min(avail, budget))
-    starts_parts: list[np.ndarray] = []
-    lens_parts: list[np.ndarray] = []
-    scanned = 0
-    total = 0
-    while scanned < avail and total <= budget:
-        end = min(avail, scanned + chunk)
-        apos = buffer.pos[
-            buffer.front + scanned: buffer.front + end, anchor_col
-        ]
-        rs = adj.indptr[apos]
-        rl = all_lens[apos]
-        if scanned == 0 and buffer.front_offset:
-            rs[0] += buffer.front_offset
-            rl[0] -= buffer.front_offset
-        starts_parts.append(rs)
-        lens_parts.append(rl)
-        total += int(rl.sum())
-        scanned = end
-
-    if starts_parts:
-        row_start = np.concatenate(starts_parts)
-        row_len = np.concatenate(lens_parts)
-    else:
-        row_start = np.empty(0, dtype=np.int64)
-        row_len = np.empty(0, dtype=np.int64)
-
-    cum = np.cumsum(row_len)
-    take_full = int(np.searchsorted(cum, budget, side="right"))
-    consumed_new = int(cum[take_full - 1]) if take_full else 0
-    partial_take = 0
-    if take_full < avail:
-        # The scan only stops early once the running total exceeds the
-        # budget, so the first not-fully-consumed row is always inside
-        # the scanned window.
-        partial_take = budget - consumed_new
-
-    starts = row_start[:take_full]
-    lens = row_len[:take_full]
-    if partial_take > 0:
-        starts = np.append(starts, row_start[take_full])
-        lens = np.append(lens, np.int64(partial_take))
-
-    idx = _gather_ranges(starts, lens)
-    new_pos = adj.targets[idx]
-    parent_sel = buffer.front + np.repeat(
-        np.arange(len(lens), dtype=np.int64), lens
-    )
-    pos = np.concatenate(
-        [buffer.pos[parent_sel], new_pos[:, None]], axis=1
-    )
-    new_ids = cst.candidates[u][new_pos]
-    ids = np.concatenate(
-        [buffer.ids[parent_sel], new_ids[:, None]], axis=1
-    )
-
-    # Advance the pop cursor.
-    if partial_take > 0:
-        if take_full == 0:
-            buffer.front_offset += partial_take
-        else:
-            buffer.front += take_full
-            buffer.front_offset = partial_take
-    else:
-        buffer.front += take_full
-        buffer.front_offset = 0
-
-    n_new = len(new_pos)
-    return RoundBatch(
-        step=step,
-        pos=pos,
-        ids=ids,
-        n_consumed=take_full,
-        n_new=n_new,
-        n_tasks=n_new * plan.tasks_per_partial(step),
-    )
+    adj = cst.adjacency[(plan.anchor_vertex[step], u)]
+    lo = int(np.searchsorted(ext_prefix, ext_lo, side="right")) - 1
+    hi = int(np.searchsorted(ext_prefix, ext_hi, side="left"))
+    row_lo = np.maximum(ext_prefix[lo:hi], ext_lo)
+    lens = np.minimum(ext_prefix[lo + 1: hi + 1], ext_hi) - row_lo
+    starts = adj.indptr[anchor_pos[lo:hi]] + (row_lo - ext_prefix[lo:hi])
+    new_pos = adj.targets[_gather_ranges(starts, lens)]
+    parent = np.repeat(np.arange(lo, hi, dtype=np.int64), lens)
+    return parent, new_pos, cst.candidates[u][new_pos]
 
 
-def expand_root(
-    cst: CST, plan: MatchPlan, cursor: int, budget: int
-) -> tuple[RoundBatch, int]:
-    """Algorithm 4 lines 2-3: stream root candidates into partials.
+def visited_validate(
+    cst: CST,
+    plan: MatchPlan,
+    pos: list[np.ndarray],
+    parent: np.ndarray,
+    new_ids: np.ndarray,
+) -> np.ndarray:
+    """Algorithm 6: one bit per extension - new vertex not yet used.
 
-    Returns the batch and the advanced cursor. Streaming (rather than
-    buffering all root candidates) keeps the depth-1 buffer within its
-    ``N_o`` bound even when ``|C(root)|`` is large.
+    Each matched column's data-vertex ids are read through its
+    candidate set; the per-column comparison is the simulated form of
+    the array-partitioned parallel compare against every element of
+    the partial.
     """
-    root = plan.order[0]
-    cands = cst.candidates[root]
-    take = min(budget, len(cands) - cursor)
-    new_pos = np.arange(cursor, cursor + take, dtype=np.int64)
-    pos = new_pos[:, None]
-    ids = cands[new_pos][:, None]
-    batch = RoundBatch(
-        step=0, pos=pos, ids=ids, n_consumed=0, n_new=take, n_tasks=0
-    )
-    return batch, cursor + take
-
-
-def visited_validate(batch: RoundBatch) -> np.ndarray:
-    """Algorithm 6: one bit per new partial - new vertex not yet used.
-
-    The columnwise comparison is the simulated form of the array-
-    partitioned parallel compare against every element of the partial.
-    """
-    if batch.step == 0 or batch.n_new == 0:
-        return np.ones(batch.n_new, dtype=bool)
-    new_ids = batch.ids[:, -1]
-    return ~(batch.ids[:, :-1] == new_ids[:, None]).any(axis=1)
-
-
-def edge_validate(cst: CST, plan: MatchPlan, batch: RoundBatch) -> np.ndarray:
-    """Algorithm 7: one bit per new partial - all non-anchor matched
-    neighbours are CST-adjacent to the new candidate.
-
-    Every check is a batched O(1) probe into the (BRAM array-
-    partitioned) adjacency of the corresponding query edge; a partial
-    fails if any of its tasks fails.
-    """
-    if batch.n_new == 0:
-        return np.ones(0, dtype=bool)
-    u = plan.order[batch.step]
-    ok = np.ones(batch.n_new, dtype=bool)
-    new_pos = batch.pos[:, -1]
-    for w, col in plan.checks[batch.step]:
-        adj = cst.adjacency[(u, w)]
-        ok &= adj.contains_batch(new_pos, batch.pos[:, col])
+    ok = np.ones(len(parent), dtype=bool)
+    for u, column in zip(plan.order, pos):
+        ok &= cst.candidates[u][column[parent]] != new_ids
     return ok
 
 
-def synchronize(
-    batch: RoundBatch, bv: np.ndarray, bn: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm 8: keep partials whose both bits are set.
+def edge_validate(
+    cst: CST,
+    plan: MatchPlan,
+    step: int,
+    pos: list[np.ndarray],
+    parent: np.ndarray,
+    new_pos: np.ndarray,
+    alive: np.ndarray,
+) -> np.ndarray:
+    """Algorithm 7: the extensions among ``alive`` (ascending indices)
+    whose new candidate is CST-adjacent to every previously-matched
+    non-anchor neighbour.
 
-    Returns the surviving ``(pos, ids)`` matrices; the engine routes
-    them to the next depth buffer or to the result store.
+    Every check is a batched O(1) probe into the (BRAM array-
+    partitioned) adjacency of the corresponding query edge; a partial
+    fails if any of its tasks fails, so later checks probe only the
+    partials every earlier one passed.
     """
-    keep = bv & bn
-    return batch.pos[keep], batch.ids[keep]
+    u = plan.order[step]
+    for w, col in plan.checks[step]:
+        ok = cst.adjacency[(u, w)].contains_batch(
+            new_pos[alive], pos[col][parent[alive]]
+        )
+        alive = alive[ok]
+    return alive
+
+
+def synchronize(
+    pos: list[np.ndarray],
+    parent: np.ndarray,
+    new_pos: np.ndarray,
+    kept: np.ndarray,
+) -> list[np.ndarray]:
+    """Algorithm 8: gather full partials for the ``kept`` extensions.
+
+    Rows are gathered column by column for the survivors only; the
+    engine routes them to the next depth or to the result store.
+    """
+    sel = parent[kept]
+    return [column[sel] for column in pos] + [new_pos[kept]]

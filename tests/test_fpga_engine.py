@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +17,16 @@ from repro.baselines.reference import (
 from repro.common.errors import DeviceError
 from repro.cst.builder import build_cst
 from repro.cst.partition import partition_to_list
+from repro.fpga import engine as engine_module
+from repro.fpga.catalog import get_device
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
 from repro.fpga.engine import VARIANTS, FastEngine
 from repro.graph.generators import random_connected_query, random_labeled_graph
+from repro.graph.graph import Graph
 from repro.ldbc.queries import all_queries, get_query
 from repro.query.ordering import path_based_order, random_connected_order
+from tests.round_engine import run_rounds
 
 
 class TestExactness:
@@ -188,3 +196,89 @@ class TestEngineApi:
         assert rep.total_partials > 0
         assert rep.total_edge_tasks > 0
         assert rep.rounds > 0
+
+
+def _u280_small_slrs(batch: int) -> FpgaConfig:
+    """The u280 part (3 SLRs, crossing penalty) with its SLRs scaled
+    down so that test-sized CSTs spill across them."""
+    cfg = get_device("u280").config
+    assert cfg.slr_count > 1 and cfg.slr_crossing_penalty_cycles > 0
+    return dataclasses.replace(
+        cfg, batch_size=batch, bram_bytes=cfg.slr_count * 1024,
+        slr_bram_bytes=(1024,) * cfg.slr_count,
+    )
+
+
+def _same_report(engine, cst, order, collect, chunk_rounds):
+    with mock.patch.object(engine_module, "CHUNK_ROUNDS", chunk_rounds):
+        got = engine.run(cst, order, collect_results=collect)
+    want = run_rounds(engine, cst, order, collect_results=collect)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    return got
+
+
+class TestRoundOracle:
+    """The chunk-batched engine against the round-at-a-time oracle
+    (tests/round_engine.py): every report field, results order and
+    module span must be identical."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data_seed=st.integers(0, 5000),
+        query_seed=st.integers(0, 5000),
+        order_seed=st.integers(0, 5000),
+        query_size=st.sampled_from([(2, 1), (3, 3), (4, 4), (5, 6)]),
+        variant=st.sampled_from(VARIANTS),
+        batch=st.sampled_from([1, 2, 3, 7, 64, 512]),
+        collect=st.booleans(),
+        trace=st.booleans(),
+        chunk_rounds=st.sampled_from([engine_module.CHUNK_ROUNDS, 1]),
+        multi_slr=st.booleans(),
+    )
+    def test_random_reports_identical(
+        self, data_seed, query_seed, order_seed, query_size, variant,
+        batch, collect, trace, chunk_rounds, multi_slr,
+    ):
+        data = random_labeled_graph(30, 120, 2, seed=data_seed)
+        query = random_connected_query(*query_size, 2, seed=query_seed)
+        order = random_connected_order(query, seed=order_seed)
+        cst = build_cst(query, data)
+        cfg = (_u280_small_slrs(batch) if multi_slr
+               else FpgaConfig(batch_size=batch))
+        engine = FastEngine(cfg, variant, trace_modules=trace)
+        _same_report(engine, cst, order, collect, chunk_rounds)
+
+    @pytest.mark.parametrize("chunk_rounds", [engine_module.CHUNK_ROUNDS, 1])
+    def test_benchmark_queries_identical(self, micro_graph, chunk_rounds):
+        crossed = 0
+        for i, q in enumerate(all_queries()):
+            cst = build_cst(q.graph, micro_graph)
+            order = path_based_order(cst.tree, micro_graph)
+            variant = VARIANTS[i % len(VARIANTS)]
+            for cfg in (FpgaConfig(batch_size=64), _u280_small_slrs(512)):
+                engine = FastEngine(cfg, variant, trace_modules=True)
+                rep = _same_report(engine, cst, order, True, chunk_rounds)
+                crossed += rep.slr_crossing_cycles > 0
+        assert crossed >= len(all_queries())
+
+
+class TestTransientMemory:
+    def test_chunk_cap_bounds_transient_memory(self):
+        """One root batch whose subtree holds over 10^6 partials runs
+        in a few MiB: chunks are capped, never a whole subtree."""
+        data = random_labeled_graph(64, 1000, 1, seed=3)
+        square = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                                  [0, 0, 0, 0])
+        cst = build_cst(square, data)
+        engine = FastEngine(FpgaConfig(batch_size=512))
+        order = tuple(cst.tree.bfs_order)
+        assert cst.candidate_count(order[0]) <= 512  # one root batch
+        tracemalloc.start()
+        try:
+            rep = engine.run(cst, order)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.total_partials > 1_000_000
+        assert rep.embeddings > 0
+        assert peak < 8 * 2**20, peak

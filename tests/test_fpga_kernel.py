@@ -1,4 +1,9 @@
-"""Tests for the kernel modules (Algorithms 5-8) and depth buffers."""
+"""Tests for the kernel modules (Algorithms 5-8) and depth buffers.
+
+The round-level classes (depth buffers, one-round ``generate``) live in
+the test-only oracle :mod:`tests.round_engine`; the chunk-batched
+modules of :mod:`repro.fpga.kernel` are checked against them here.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +12,19 @@ import pytest
 
 from repro.common.errors import BufferOverflowError, DeviceError, QueryError
 from repro.cst.builder import build_cst
-from repro.fpga.kernel import (
+from repro.fpga import kernel
+from repro.fpga.kernel import _gather_ranges, build_plan, round_schedule
+from repro.ldbc.queries import get_query
+from repro.query.ordering import path_based_order
+from tests.round_engine import (
     DepthBuffer,
-    build_plan,
+    RoundBatch,
     edge_validate,
     expand_root,
     generate,
     synchronize,
     visited_validate,
 )
-from repro.fpga.kernel import _gather_ranges
-from repro.ldbc.queries import get_query
-from repro.query.ordering import path_based_order
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +155,6 @@ class TestGenerateSemantics:
 class TestValidators:
     def test_visited_rejects_duplicates(self, setup):
         cst, order, plan = setup
-        from repro.fpga.kernel import RoundBatch
         ids = np.array([[3, 7, 3], [3, 7, 9]])
         pos = np.zeros_like(ids)
         batch = RoundBatch(step=2, pos=pos, ids=ids, n_consumed=0,
@@ -191,7 +196,6 @@ class TestValidators:
             assert bool(bn[row]) == expected
 
     def test_synchronize_filters_both_bits(self):
-        from repro.fpga.kernel import RoundBatch
         pos = np.arange(8).reshape(4, 2)
         batch = RoundBatch(step=1, pos=pos, ids=pos + 50, n_consumed=0,
                            n_new=4, n_tasks=0)
@@ -200,3 +204,110 @@ class TestValidators:
         keep_pos, keep_ids = synchronize(batch, bv, bn)
         assert len(keep_pos) == 1
         assert list(keep_pos[0]) == [0, 1]
+
+
+class TestRoundSchedule:
+    def test_rounds_cut_windows_every_budget_extensions(self):
+        # One window, rows of 3, 0, 5, 0 extensions, N_o = 4: two
+        # rounds; the first drains rows 0-1 (the empty row ends at
+        # extension 3 <= 4), the last drains the rest.
+        prefix = np.array([0, 3, 3, 8, 8])
+        ext_end, n_new, n_pop, offsets = round_schedule(
+            prefix, np.array([0, 4]), 4
+        )
+        assert ext_end.tolist() == [4, 8]
+        assert n_new.tolist() == [4, 4]
+        assert n_pop.tolist() == [2, 2]
+        assert offsets.tolist() == [0, 2]
+
+    def test_empty_window_has_no_round_and_empty_rows_one(self):
+        prefix = np.array([0, 0, 0, 2])
+        ext_end, n_new, n_pop, offsets = round_schedule(
+            prefix, np.array([0, 0, 2, 3]), 4
+        )
+        # Window 0 is empty, window 1 has two rows without extensions
+        # (one round popping both), window 2 one row of two.
+        assert offsets.tolist() == [0, 0, 1, 2]
+        assert n_new.tolist() == [0, 2]
+        assert n_pop.tolist() == [2, 1]
+
+    def test_matches_round_at_a_time_buffer(self, setup):
+        cst, order, plan = setup
+        batch, _ = expand_root(cst, plan, 0, budget=10**9)
+        lens = cst.adjacency[
+            (plan.anchor_vertex[1], order[1])
+        ].row_lens_array()[batch.pos[:, 0]]
+        prefix = np.concatenate(([0], np.cumsum(lens)))
+        for budget in (1, 3, 16):
+            buf = DepthBuffer(1, capacity=10**9)
+            buf.fill(batch.pos, batch.ids)
+            rounds = []
+            while not buf.is_empty:
+                out = generate(cst, plan, buf, 1, budget)
+                rounds.append((out.n_new, out.n_consumed))
+            _end, n_new, n_pop, offsets = round_schedule(
+                prefix, np.array([0, len(lens)]), budget
+            )
+            assert list(zip(n_new.tolist(), n_pop.tolist())) == rounds
+            assert offsets.tolist() == [0, len(rounds)]
+
+    def test_invalid_budget(self):
+        with pytest.raises(DeviceError):
+            round_schedule(np.array([0]), np.array([0]), 0)
+
+
+class TestWindowKernel:
+    def test_slices_equal_round_batches(self, setup):
+        """Generator slices cut inside rows reproduce each round."""
+        cst, order, plan = setup
+        batch, _ = expand_root(cst, plan, 0, budget=10**9)
+        lens = cst.adjacency[
+            (plan.anchor_vertex[1], order[1])
+        ].row_lens_array()[batch.pos[:, 0]]
+        prefix = np.concatenate(([0], np.cumsum(lens)))
+        buf = DepthBuffer(1, capacity=10**9)
+        buf.fill(batch.pos, batch.ids)
+        lo = 0
+        while not buf.is_empty:
+            out = generate(cst, plan, buf, 1, budget=5)
+            parent, new_pos, new_ids = kernel.generate(
+                cst, plan, 1, batch.pos[:, 0], prefix, lo, lo + out.n_new
+            )
+            assert np.array_equal(batch.pos[parent, 0], out.pos[:, 0])
+            assert np.array_equal(new_pos, out.pos[:, 1])
+            assert np.array_equal(new_ids, out.ids[:, 1])
+            lo += out.n_new
+        assert lo == prefix[-1]
+
+    def test_validators_and_synchronizer_match_rounds(self, setup):
+        """Level by level, the chunk-batched modules keep exactly the
+        partials the round-form modules keep, in the same order."""
+        cst, order, plan = setup
+        batch, _ = expand_root(cst, plan, 0, budget=10**9)
+        pos = [batch.pos[:, 0]]
+        want_pos, want_ids = batch.pos, batch.ids
+        for step in range(1, plan.num_steps):
+            lens = cst.adjacency[
+                (plan.anchor_vertex[step], order[step])
+            ].row_lens_array()[pos[plan.anchor_col[step]]]
+            prefix = np.concatenate(([0], np.cumsum(lens)))
+            parent, new_pos, new_ids = kernel.generate(
+                cst, plan, step, pos[plan.anchor_col[step]], prefix, 0,
+                int(prefix[-1]),
+            )
+            visited = kernel.visited_validate(cst, plan, pos, parent,
+                                              new_ids)
+            kept = kernel.edge_validate(cst, plan, step, pos, parent,
+                                        new_pos, np.flatnonzero(visited))
+            pos = kernel.synchronize(pos, parent, new_pos, kept)
+
+            buf = DepthBuffer(step, capacity=10**9)
+            buf.fill(want_pos, want_ids)
+            out = generate(cst, plan, buf, step, budget=10**9)
+            bv = visited_validate(out)
+            assert np.array_equal(visited, bv)
+            want_pos, want_ids = synchronize(
+                out, bv, edge_validate(cst, plan, out)
+            )
+            assert np.array_equal(np.column_stack(pos), want_pos)
+        assert len(pos[0]) > 0
