@@ -392,6 +392,9 @@ def _outcome_rows(out: RunOutcome) -> list[tuple[str, object]]:
     health = _health_summary(out.health)
     if health is not None:
         rows.append(("health", health))
+    execute = out.metrics.get("stages", {}).get("execute", {})
+    if execute.get("resumed_partitions"):
+        rows.append(("resumed_partitions", execute["resumed_partitions"]))
     if out.detail:
         rows.append(("detail", out.detail))
     return rows

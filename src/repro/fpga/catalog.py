@@ -350,9 +350,9 @@ def parse_fleet(
     """Parse a fleet spec like ``"u200,u280x2"`` into device specs.
 
     Each comma-separated token is a part name with an optional ``xN``
-    multiplier; the result preserves token order, so device indices in
-    a :class:`~repro.host.multi_fpga.MultiFpgaRunner` follow the spec
-    left to right.
+    multiplier; the result preserves token order, so the device indices
+    of the schedule stage's placement (and of trace lanes, journals and
+    breakers) follow the spec left to right.
     """
     if catalog is None:
         catalog = load_catalog()

@@ -4,18 +4,15 @@ The paper notes that because every CST partition is an independent,
 complete search space, FAST extends naturally to multiple FPGAs: "the
 CPU can assign the CST structure to the FPGA with the minimum total
 workload and collect final results after all the FPGAs complete their
-tasks". This module implements exactly that scheduler on top of the
-simulated device, reusing the staged pipeline's ``plan`` and
-``build_cst`` stages (so a shared :class:`RunContext` lets multi-FPGA
-sweeps reuse cached CSTs):
-
-* partitions come out of Algorithm 2 as usual (memoized per
-  configuration in the context's stage cache);
-* each is assigned to the device with the least accumulated estimated
-  workload (greedy min-load, the online analogue of LPT);
-* each device runs its own :class:`~repro.fpga.engine.FastEngine` and
-  PCIe link; end-to-end time is host preparation plus the slowest
-  device (the makespan).
+tasks". No new machinery is needed: the runner threads the same stages
+as :class:`~repro.host.runtime.FastRunner` and hands its device pool
+to the schedule stage as a :class:`~repro.host.scheduler.Fleet`.
+:func:`~repro.host.scheduler.place_partitions` assigns each partition
+to the device with the least accumulated estimated workload (greedy
+min-load, the online analogue of LPT); the execute stage runs it there
+under the same fault ladder, deadline checks and per-partition journal
+records as a single device. End-to-end time is host preparation plus
+the slowest device (the makespan).
 
 Beyond the paper's "N identical FPGAs", the runner accepts a
 heterogeneous ``fleet`` of catalog parts
@@ -33,100 +30,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import DeviceError, FatalDeviceError
+from repro.common.errors import DeviceError
 from repro.costs.cpu import CpuCostModel
 from repro.cst.partition import PartitionLimits
-from repro.cst.structure import CST, ENTRY_BYTES
-from repro.cst.workload import estimate_workload
 from repro.fpga.catalog import DeviceSpec, parse_fleet
 from repro.fpga.config import FpgaConfig
-from repro.fpga.engine import FastEngine
-from repro.fpga.kernel import MatchPlan
-from repro.fpga.report import KernelReport
 from repro.graph.graph import Graph
-from repro.host.pcie import PcieLink
 from repro.host.runtime import _ledger_scaled_limits
+from repro.host.scheduler import Fleet
 from repro.query.query_graph import QueryGraph
 from repro.runtime.context import RunContext, RunMetrics
-from repro.runtime.executor import Task, overlap_schedule, run_tasks
-from repro.runtime.faults import DEVICE_DEAD, FaultEvent
-from repro.runtime.journal import (
-    report_from_dict,
-    report_to_dict,
-    run_fingerprint,
-)
 from repro.runtime.stages import (
+    DeviceLoad,
     build_cst_stage,
-    cached_partition_list,
+    execute_stage,
+    merge_stage,
+    partition_stage,
     plan_stage,
-)
-from repro.runtime.tracing import (
-    MODELED,
-    device_lane_prefix,
-    trace_device_lanes,
+    schedule_stage,
 )
 
-
-def _run_device(
-    cfg: FpgaConfig,
-    variant: str,
-    parts: tuple[CST, ...],
-    match_plan: MatchPlan,
-    result_vertices: int,
-    trace_modules: bool = False,
-) -> tuple[KernelReport, float, list[tuple[float, float]], float]:
-    """One device's whole queue: transfers, kernels, result fetch.
-
-    Module-level with picklable arguments so device queues can run in
-    the worker pool, which ships the ``parts`` tuple over shared
-    memory. Returns ``(merged_kernel, pcie_seconds, segments,
-    fetch_seconds)`` where ``segments`` holds one
-    ``(write, kernel)`` pair per partition for the device's own
-    double-buffered overlap timeline.
-    """
-    engine = FastEngine(cfg, variant, trace_modules=trace_modules)
-    link = PcieLink(cfg)
-    kernel: KernelReport | None = None
-    segments: list[tuple[float, float]] = []
-    pcie = 0.0
-    for part in parts:
-        cost = link.send_to_card(part.size_bytes())
-        pcie += cost
-        report = engine.run(part, plan=match_plan)
-        segments.append((cost, report.seconds))
-        if kernel is None:
-            kernel = report
-        else:
-            kernel.merge(report)
-    fetch = link.fetch_from_card(
-        kernel.embeddings * result_vertices * ENTRY_BYTES
-    )
-    pcie += fetch
-    return kernel, pcie, segments, fetch
+#: Pool size of the multi-FPGA backend when no fleet names its devices
+#: (the registry backend and the serving layer both read it).
+DEFAULT_NUM_DEVICES = 2
 
 
-@dataclass
-class DeviceLoad:
-    """One FPGA's accumulated assignment.
-
-    ``workload`` is in the pool's placement-cost units: the raw
-    Algorithm 2 workload estimate for a homogeneous pool (the paper's
-    rule), clock/latency-normalised modeled cost for a heterogeneous
-    fleet. ``part`` is the catalog part name when the device came from
-    a fleet spec.
-    """
-
-    index: int
-    workload: float = 0.0
-    num_csts: int = 0
-    kernel: KernelReport | None = None
-    pcie_seconds: float = 0.0
-    part: str | None = None
-
-    @property
-    def seconds(self) -> float:
-        kernel = self.kernel.seconds if self.kernel else 0.0
-        return self.pcie_seconds + kernel
+def fleet_size(fleet: tuple[DeviceSpec, ...] | None) -> int:
+    """Devices of the multi-FPGA pool: the fleet's, else the default."""
+    return len(fleet) if fleet is not None else DEFAULT_NUM_DEVICES
 
 
 @dataclass
@@ -175,7 +106,7 @@ class MultiFpgaRunner:
     part-labeled trace lanes. ``num_devices`` then follows the fleet.
     """
 
-    num_devices: int = 2
+    num_devices: int = DEFAULT_NUM_DEVICES
     config: FpgaConfig = field(default_factory=FpgaConfig)
     variant: str = "sep"
     k_policy: int | str = "greedy"
@@ -203,14 +134,16 @@ class MultiFpgaRunner:
             return self.context
         return RunContext(fpga=self.config, cpu_cost=self.cpu_cost_model)
 
-    def _device_configs(self, ctx: RunContext) -> list[FpgaConfig]:
-        """Per-device configs, in device-index order."""
-        if self.fleet is not None:
-            return [spec.config for spec in self.fleet]
-        return [ctx.fpga] * self.num_devices
-
-    def _device_part(self, index: int) -> str | None:
-        return self.fleet[index].part if self.fleet is not None else None
+    def _pool(self, ctx: RunContext) -> Fleet:
+        """The devices in index order: the fleet, else N x ``ctx.fpga``."""
+        if self.fleet is None:
+            n = self.num_devices
+            return Fleet((ctx.fpga,) * n, (None,) * n)
+        return Fleet(
+            tuple(spec.config for spec in self.fleet),
+            tuple(spec.part for spec in self.fleet),
+            bid=self._bid_cost,
+        )
 
     def _bid_cost(
         self, cfg: FpgaConfig, workload: float, part_bytes: int
@@ -218,8 +151,7 @@ class MultiFpgaRunner:
         """Modeled cost of one partition on one candidate device.
 
         Homogeneous pools keep the raw workload estimate — exactly the
-        paper's min-workload rule, and bit-identical to the
-        pre-catalog placement. A fleet normalises the estimate into
+        paper's min-workload rule. A fleet normalises the estimate into
         modeled microseconds on the candidate: kernel cycles at the
         part's clock, plus the streaming CST load at its memory
         bandwidth/latency, plus the SLR crossing penalty whenever this
@@ -249,325 +181,44 @@ class MultiFpgaRunner:
         ctx.begin_run("multi-fpga")
 
         plan = plan_stage(ctx, query, data, order)
-        q = plan.query
         cst = build_cst_stage(ctx, plan, data)
 
-        ledger = ctx.health_ledger
-        penalties = (
-            ledger.penalties(self.num_devices)
-            if ledger is not None else (0.0,) * self.num_devices
+        pool = self._pool(ctx)
+        # Any partition may land on any card (including through
+        # failover), so Algorithm 2 runs against the tightest
+        # delta_S / delta_D across the pool.
+        limits = PartitionLimits(
+            max_bytes=min(
+                c.cst_budget_bytes(plan.query) for c in pool.configs
+            ),
+            max_degree=min(c.max_ports for c in pool.configs),
         )
-
-        configs = self._device_configs(ctx)
-        if self.fleet is None:
-            limits = ctx.fpga.partition_limits(q)
-        else:
-            # Any partition may land on any card (including through
-            # failover), so Algorithm 2 runs against the tightest
-            # delta_S / delta_D across the fleet.
-            limits = PartitionLimits(
-                max_bytes=min(c.cst_budget_bytes(q) for c in configs),
-                max_degree=min(c.max_ports for c in configs),
-            )
+        ledger = ctx.health_ledger
         if ledger is not None:
             # Pre-shrink delta_S when any device's history shows
             # residency faults: every partition may land on the
             # degraded card, so the whole worklist gets shorter
             # kernel residency (counts are delta_S-independent).
-            worst = min(
-                range(self.num_devices), key=ledger.delta_s_scale
-            )
+            worst = min(range(self.num_devices), key=ledger.delta_s_scale)
             limits = _ledger_scaled_limits(ctx, limits, worst)
-        with ctx.stage("partition") as st:
-            parts, stats, cached = cached_partition_list(
-                ctx, data, cst, plan, limits, k_policy=self.k_policy,
-                split_policy=ctx.split_policy,
-            )
-            partition_seconds = ctx.host_seconds(
-                stats.total_bytes // ENTRY_BYTES, data
-            )
-            st.modeled_seconds += partition_seconds
-            st.note(
-                num_partitions=stats.num_partitions,
-                num_splits=stats.num_splits,
-                cached=cached,
-            )
-
-        devices = [
-            DeviceLoad(index=i, part=self._device_part(i))
-            for i in range(self.num_devices)
-        ]
-
-        def placement_key(
-            d: DeviceLoad, workload: float, part_bytes: int
-        ) -> tuple[float, float, int]:
-            # Section VII-E min-workload placement, biased by observed
-            # health history: a flaky device's effective load is
-            # inflated by its penalty, so its queue fills last, and the
-            # penalty itself breaks ties at zero load toward healthy
-            # devices. A heterogeneous fleet additionally adds this
-            # partition's own normalised bid on the candidate (zero-
-            # extra for homogeneous pools, where the bid is device-
-            # independent), so a card whose SLRs the CST would span, or
-            # whose clock is slower, bids higher. Placement never
-            # changes counts — partitions are complete search spaces
-            # wherever they run.
-            bid = (
-                self._bid_cost(configs[d.index], workload, part_bytes)
-                if self.fleet is not None else 0.0
-            )
-            return (
-                d.workload * (1.0 + penalties[d.index]) + bid,
-                penalties[d.index],
-                d.index,
-            )
-
-        def assign(pool: list[DeviceLoad], part: CST) -> DeviceLoad:
-            workload = estimate_workload(part)
-            part_bytes = part.size_bytes()
-            target = min(
-                pool, key=lambda d: placement_key(d, workload, part_bytes)
-            )
-            target.workload += self._bid_cost(
-                configs[target.index], workload, part_bytes
-            )
-            target.num_csts += 1
-            return target
-
-        with ctx.stage("schedule") as st:
-            assignment: list[list] = [[] for _ in devices]
-            for part in parts:
-                target = assign(devices, part)
-                assignment[target.index].append(part)
-            st.note(
-                num_devices=self.num_devices,
-                csts_per_device=tuple(d.num_csts for d in devices),
-            )
-            if self.fleet is not None:
-                st.note(fleet=tuple(s.part for s in self.fleet))
-            if ledger is not None:
-                st.note(device_penalties=penalties)
-
-        health = ctx.health
-        fplan = ctx.fault_plan
-        dead = set()
-        if fplan is not None:
-            dead = {d.index for d in devices if fplan.device_dead(d.index)}
-        # Circuit-breaker exclusions (serving layer): devices whose
-        # breaker is open are kept out of placement and failover as if
-        # dead, but recorded with their own status/event kind so the
-        # health ledger does not book them as new death observations.
-        opened: set[int] = set()
-        if ctx.breaker is not None:
-            opened = (
-                set(ctx.breaker.open_devices(self.num_devices)) - dead
-            )
-        excluded = dead | opened
-        if excluded and len(excluded) == len(devices):
-            raise FatalDeviceError(
-                f"all {self.num_devices} devices are dead or "
-                f"breaker-open; no survivor to redistribute to"
-            )
-        for device in devices:
-            if device.index in dead:
-                status = "dead"
-            elif device.index in opened:
-                status = "open"
-            else:
-                status = "ok"
-            health.mark_device(device.index, status)
-
-        with ctx.stage("execute") as st:
-            if excluded:
-                # Partition independence (Definition 2) makes failover
-                # trivial: a dead device's queue redistributes to the
-                # survivors with minimum accumulated workload, exactly
-                # the Section VII-E assignment rule re-applied.
-                survivors = [
-                    d for d in devices if d.index not in excluded
-                ]
-                for device in devices:
-                    if device.index not in excluded:
-                        continue
-                    kind = (
-                        DEVICE_DEAD if device.index in dead
-                        else "breaker_open"
-                    )
-                    for part in assignment[device.index]:
-                        target = assign(survivors, part)
-                        assignment[target.index].append(part)
-                        health.record(FaultEvent(
-                            kind=kind,
-                            scope=("device", device.index),
-                            attempt=0,
-                            action="failover",
-                            device=target.index,
-                        ))
-                    assignment[device.index] = []
-                    device.workload = 0.0
-                    device.num_csts = 0
-            # Device queues are independent (Definition 2), so they
-            # dispatch through the worker pool as one task per device
-            # and merge back in device-index order. The warm
-            # supervised pool (at ``workers > 1``) makes a worker crash
-            # mid-queue a recoverable event.
-            exec_cfg = ctx.executor
-            active = [d for d in devices if assignment[d.index]]
-
-            # Crash safety: each completed device queue is one durable
-            # journal record; a resumed run replays finished devices
-            # and re-runs only the rest. The fingerprint additionally
-            # pins the placement (csts per device) and the dead set,
-            # both deterministic given the same ledger state — which a
-            # crash cannot have changed, since the ledger persists only
-            # at finish_run.
-            journal = ctx.journal
-            done: dict[int, tuple] = {}
-            if journal is not None:
-                fingerprint = run_fingerprint(
-                    ctx, plan, data, self.variant,
-                    (stats.num_partitions, 0, stats.total_bytes),
-                    exec_cfg.buffers, False,
-                    extra=(
-                        "multi", self.num_devices,
-                        tuple(d.num_csts for d in devices),
-                        tuple(sorted(excluded)),
-                        tuple(
-                            (s.part, repr(s.config)) for s in self.fleet
-                        ) if self.fleet is not None else None,
-                    ),
-                )
-                journal.ensure_header(
-                    fingerprint,
-                    backend="multi-fpga",
-                    num_devices=self.num_devices,
-                )
-                if journal.resume:
-                    active_idx = {d.index for d in active}
-                    for idx, rec in journal.device_records().items():
-                        if idx not in active_idx:
-                            continue
-                        done[idx] = (
-                            report_from_dict(rec["kernel"]),
-                            rec["pcie_seconds"],
-                            [(w, k) for w, k in rec["segments"]],
-                            rec["fetch_seconds"],
-                        )
-            resumed_devices = len(done)
-
-            pending = [d for d in active if d.index not in done]
-
-            pool = ctx.ensure_pool() if len(pending) > 1 else None
-            tasks: list[Task] = [
-                (_run_device,
-                 (configs[d.index], self.variant,
-                  tuple(assignment[d.index]), plan.match_plan,
-                  q.num_vertices, ctx.tracer.enabled))
-                for d in pending
-            ]
-
-            def on_device_done(pos: int, result: tuple) -> None:
-                idx = pending[pos].index
-                done[idx] = result
-                if journal is not None:
-                    kernel, pcie, segments, fetch = result
-                    journal.append({
-                        "type": "device",
-                        "index": idx,
-                        "kernel": report_to_dict(kernel),
-                        "pcie_seconds": pcie,
-                        "segments": [[w, k] for w, k in segments],
-                        "fetch_seconds": fetch,
-                    })
-
-            run_tasks(tasks, on_device_done, pool, ctx)
-
-            tracer = ctx.tracer
-            device_seconds: list[float] = []
-            device_timelines: dict[str, float] = {}
-            for device in active:
-                kernel, pcie, segments, fetch = done[device.index]
-                device.kernel = kernel
-                device.pcie_seconds = pcie
-                # Each device's own double-buffered card schedule; the
-                # trace draws it one lane group per device, and the
-                # payload surfaces its completion time.
-                schedule = overlap_schedule(segments, exec_cfg.buffers)
-                timeline = schedule[-1][3] if schedule else 0.0
-                device_timelines[str(device.index)] = timeline
-                if exec_cfg.buffers <= 1:
-                    device_seconds.append(device.seconds)
-                else:
-                    # Each card overlaps its own transfers with its own
-                    # kernels; only the result fetch stays serial.
-                    device_seconds.append(timeline + fetch)
-                if tracer.enabled:
-                    # Emitted here, in device-index order after the
-                    # pool barrier — never from worker threads — so
-                    # modeled lanes stay deterministic at any workers.
-                    trace_device_lanes(
-                        tracer, device.index, schedule,
-                        kernel.module_spans,
-                        configs[device.index].clock_mhz,
-                        part=self._device_part(device.index),
-                    )
-                    if fetch:
-                        prefix = device_lane_prefix(
-                            device.index, self._device_part(device.index)
-                        )
-                        tracer.span(
-                            f"{prefix}/pcie", "fetch results",
-                            timeline, fetch, clock=MODELED,
-                        )
-            if tracer.enabled:
-                for idx in sorted(dead):
-                    tracer.instant(
-                        "faults", "device_dead:failover", 0.0,
-                        clock=MODELED, device=idx,
-                    )
-                for idx in sorted(opened):
-                    tracer.instant(
-                        "faults", "breaker_open:failover", 0.0,
-                        clock=MODELED, device=idx,
-                    )
-                if resumed_devices:
-                    tracer.count("journal_replays", resumed_devices)
-            makespan = max(device_seconds, default=0.0)
-            st.modeled_seconds += makespan
-            st.note(
-                makespan_seconds=makespan,
-                device_seconds=tuple(d.seconds for d in devices),
-                dead_devices=tuple(sorted(dead)),
-                breaker_open_devices=tuple(sorted(opened)),
-                workers=exec_cfg.workers,
-                buffers=exec_cfg.buffers,
-                pool="inline" if pool is None else "process",
-                cst_plane="local" if pool is None else pool.cst_plane,
-                overlap_timeline=device_timelines,
-            )
-            if journal is not None:
-                st.note(
-                    journaled=True,
-                    journal_path=str(journal.path),
-                    resumed_devices=resumed_devices,
-                )
-
-        with ctx.stage("merge") as st:
-            embeddings = sum(
-                d.kernel.embeddings for d in devices
-                if d.kernel is not None
-            )
-            total_seconds = ctx.current_metrics.modeled_seconds
-            st.note(embeddings=embeddings, total_seconds=total_seconds)
+        work = partition_stage(
+            ctx, data, cst, plan, limits,
+            k_policy=self.k_policy, split_policy=ctx.split_policy,
+        )
+        schedule_stage(ctx, work, pool)
+        executed = execute_stage(
+            ctx, plan, work, data, self.variant, limits=limits
+        )
+        merged = merge_stage(ctx, executed)
         metrics = ctx.finish_run()
 
         return MultiFpgaResult(
-            embeddings=embeddings,
-            total_seconds=total_seconds,
+            embeddings=merged.embeddings,
+            total_seconds=merged.total_seconds,
             build_seconds=metrics.stages["build_cst"].modeled_seconds,
-            partition_seconds=partition_seconds,
-            makespan_seconds=makespan,
-            devices=devices,
-            num_partitions=stats.num_partitions,
+            partition_seconds=metrics.stages["partition"].modeled_seconds,
+            makespan_seconds=executed.fpga_seconds,
+            devices=executed.devices,
+            num_partitions=work.num_partitions,
             metrics=metrics,
         )

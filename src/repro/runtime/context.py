@@ -318,10 +318,10 @@ class RunContext:
     #: between partition completions. ``None`` (the default) never
     #: cancels, preserving the standalone ``match`` behavior.
     cancellation: CancellationToken | None = None
-    #: Per-device circuit breaker consulted by the multi-FPGA runner
-    #: (duck-typed: ``open_devices(num_devices) -> set[int]``). Open
-    #: devices are excluded from placement and failover as if dead;
-    #: the serving layer owns the state machine
+    #: Per-device circuit breaker consulted by the schedule stage for
+    #: every fleet, single devices included (duck-typed:
+    #: ``open_devices(num_devices) -> set[int]``). Open devices take no
+    #: work, as if dead; the serving layer owns the state machine
     #: (:class:`repro.serve.breaker.CircuitBreaker`).
     breaker: Any | None = None
     #: Span tracer (disabled by default); when enabled, every stage,

@@ -27,12 +27,13 @@ the execute-stage supervisor is built from:
     harness, and the benchmarks.
 
 The recovery ladder itself (retry -> re-partition -> CPU fallback ->
-fail) lives in :mod:`repro.runtime.stages`; device-level failover in
-:mod:`repro.host.multi_fpga`. Because every CST partition is a
-complete, independently matchable search space (paper Definition 2),
-any recoverable schedule leaves embedding counts bit-identical to the
-fault-free run — the property the fault suite checks for every FAST
-variant. See ``docs/robustness.md``.
+fail) lives in :mod:`repro.runtime.stages` and covers every partition
+of every fleet, single device and multi-FPGA alike; device-level
+failover is :func:`repro.host.scheduler.place_partitions`. Because
+every CST partition is a complete, independently matchable search
+space (paper Definition 2), any recoverable schedule leaves embedding
+counts bit-identical to the fault-free run — the property the fault
+suite checks for every FAST backend. See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ FAULT_KINDS = (
     "bram_soft_error",
 )
 
-#: Device-level fault kind: a whole FPGA stops responding (multi-FPGA
-#: failover; on a single device the partition ladder handles it).
+#: Device-level fault kind: a whole FPGA stops responding. Its queue
+#: fails over to the fleet's survivors; a dead single device, the
+#: fleet of one, has none and the run is fatal.
 DEVICE_DEAD = "device_dead"
 
 #: Exception type raised for each injected partition-level kind.
@@ -343,6 +345,9 @@ class SupervisorCore:
     cpu_cost: CpuCostModel
     avg_degree: float
     num_vertices: int
+    #: Device the supervised partitions run on, stamped on their fault
+    #: events; ``None`` on a single device (implicitly device 0).
+    device: int | None = None
 
     @property
     def backoff_seed(self) -> int:

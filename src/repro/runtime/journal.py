@@ -436,10 +436,6 @@ class RunJournal:
         """Completed CPU-share records, by partition index."""
         return self._by_index("cpu")
 
-    def device_records(self) -> dict[int, dict[str, Any]]:
-        """Completed per-device records (multi-FPGA), by device index."""
-        return self._by_index("device")
-
     def ladder_records(self) -> dict[tuple, dict[str, Any]]:
         """Mid-ladder rung decisions, keyed by supervisor scope."""
         return {
@@ -570,9 +566,10 @@ class DeviceHealthLedger:
     ) -> None:
         """Fold one run's health report into the history.
 
-        Partition-level fault events carry no device index (they run
-        on the single device 0); ``device_dead`` events attribute to
-        the dead device named in their scope, not the failover target.
+        Partition-level fault events name their device on a multi-FPGA
+        pool and none (device 0) on a single device; ``device_dead``
+        events attribute to the dead device named in their scope, not
+        the failover target.
         """
         if not health.device_status and not health.events:
             return

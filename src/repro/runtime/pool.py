@@ -24,8 +24,8 @@ Design, in one pass:
   task function, so counts, modeled seconds, and health records stay
   bit-identical to a fault-free run.
 * **Owns the CST transport.** Callers pass plain tasks whose arguments
-  may hold :class:`~repro.cst.structure.CST` objects (or tuples of
-  them, e.g. a multi-FPGA device queue). At dispatch the pool places
+  may hold :class:`~repro.cst.structure.CST` objects. At dispatch the
+  pool places
   their arrays in its own :class:`~repro.runtime.shm.CstArena` and
   ships descriptors; the worker rebuilds zero-copy read-only CSTs
   before it calls the task. A worker that finds a segment gone (really
@@ -158,11 +158,6 @@ def _rebuild(args: tuple) -> tuple:
     for arg in args:
         if isinstance(arg, CstDescriptor):
             arg = CST.from_descriptor(arg)
-        elif (
-            isinstance(arg, tuple) and arg
-            and isinstance(arg[0], CstDescriptor)
-        ):
-            arg = tuple(CST.from_descriptor(d) for d in arg)
         out.append(arg)
     return tuple(out)
 
@@ -602,20 +597,13 @@ class WorkerPool:
         return [results[i] for i in range(len(tasks))]
 
     def _wire(self, args: tuple) -> tuple | None:
-        """``args`` with every CST (or tuple of CSTs) swapped for its
-        arena descriptor; ``None`` when nothing was swapped, so the
-        task travels pickled as given."""
+        """``args`` with every CST swapped for its arena descriptor;
+        ``None`` when nothing was swapped, so the task travels pickled
+        as given."""
         out = list(args)
         swapped = False
         for k, arg in enumerate(args):
-            if isinstance(arg, CST):
-                csts: tuple = (arg,)
-            elif (
-                isinstance(arg, tuple) and arg
-                and all(isinstance(c, CST) for c in arg)
-            ):
-                csts = arg
-            else:
+            if not isinstance(arg, CST):
                 continue
             if self._arena is None and self.cst_plane is None:
                 # One creation attempt per run.
@@ -626,8 +614,7 @@ class WorkerPool:
             self.cst_plane = "shm" if self._arena is not None else "pickle"
             if self._arena is None:
                 return None
-            descs = tuple(self._arena.descriptor_for(c) for c in csts)
-            out[k] = descs if isinstance(arg, tuple) else descs[0]
+            out[k] = self._arena.descriptor_for(arg)
             swapped = True
         return tuple(out) if swapped else None
 

@@ -24,7 +24,7 @@ from repro.baselines import make_baseline
 from repro.baselines.reference import count_reference_embeddings
 from repro.common.errors import BackendError
 from repro.graph.graph import Graph
-from repro.host.multi_fpga import MultiFpgaRunner
+from repro.host.multi_fpga import MultiFpgaRunner, fleet_size
 from repro.host.runtime import FastRunner
 from repro.query.query_graph import QueryGraph
 from repro.runtime.context import RunContext
@@ -201,10 +201,11 @@ def _multi_fpga_runner(canonical: str) -> BackendRunner:
         query: Graph | QueryGraph,
         data: Graph,
         order: tuple[int, ...] | None = None,
-        num_devices: int = 2,
+        num_devices: int | None = None,
     ) -> RunOutcome:
         runner = MultiFpgaRunner(
-            num_devices=num_devices, config=ctx.fpga,
+            num_devices=num_devices or fleet_size(ctx.fleet),
+            config=ctx.fpga,
             cpu_cost_model=ctx.cpu_cost, context=ctx,
             fleet=ctx.fleet,
         )

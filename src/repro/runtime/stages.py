@@ -50,14 +50,18 @@ from repro.cst.partition import (
 )
 from repro.cst.structure import CST, ENTRY_BYTES
 from repro.cst.workload import estimate_workload
-from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
 from repro.fpga.kernel import MatchPlan, build_plan
 from repro.fpga.report import KernelReport
 from repro.graph.graph import Graph
 from repro.host.cpu_matcher import CpuMatchCounters, cst_embeddings
 from repro.host.pcie import PcieLink
-from repro.host.scheduler import WorkloadScheduler
+from repro.host.scheduler import (
+    Fleet,
+    Placement,
+    WorkloadScheduler,
+    place_partitions,
+)
 from repro.query.ordering import path_based_order
 from repro.query.query_graph import QueryGraph, as_query
 from repro.query.spanning_tree import SpanningTree, build_bfs_tree, choose_root
@@ -68,7 +72,12 @@ from repro.runtime.executor import (
     overlap_schedule,
     run_tasks,
 )
-from repro.runtime.faults import FAULT_ERRORS, FaultEvent, SupervisorCore
+from repro.runtime.faults import (
+    DEVICE_DEAD,
+    FAULT_ERRORS,
+    FaultEvent,
+    SupervisorCore,
+)
 from repro.runtime.journal import (
     counters_from_dict,
     counters_to_dict,
@@ -103,13 +112,52 @@ class ScheduledWork:
     cpu_parts: list[CST]
     stats: PartitionStats | None
     scheduler: WorkloadScheduler
-    cached: bool = False
+    #: The devices the schedule stage placed on: a multi-FPGA pool, or
+    #: the context's own device as the fleet of one.
+    fleet: Fleet | None = None
+    #: Per-device queues of FPGA partition indices (schedule stage).
+    placement: Placement | None = None
+    #: Whether ``fleet`` is a multi-FPGA pool (even of one device): a
+    #: pool names devices on its fault events, pins its placement in
+    #: the journal fingerprint, leaves idle devices idle and reports
+    #: per-device figures; the single device does none of these.
+    pooled: bool = False
 
     @property
     def num_partitions(self) -> int:
         if self.stats is not None:
             return self.stats.num_partitions
         return len(self.fpga_parts) + len(self.cpu_parts)
+
+
+@dataclass
+class DeviceLoad:
+    """One device's share of the execute stage, merged in queue order.
+
+    ``workload`` is the device's accumulated placement cost: the raw
+    Algorithm 2 workload estimate for a homogeneous pool (the paper's
+    rule), clock/latency-normalised modeled cost for a heterogeneous
+    fleet. ``part`` is the catalog part name when the device came from
+    a fleet spec. ``kernel`` is ``None`` for an idle device;
+    ``pcie_seconds`` counts wasted attempts and the result fetch;
+    ``schedule`` is the device's
+    :func:`~repro.runtime.executor.overlap_schedule`, ending at
+    ``timeline``; ``seconds`` is its FPGA-side modeled time, recovery
+    included, whose maximum over devices is the makespan.
+    """
+
+    index: int
+    part: str | None = None
+    workload: float = 0.0
+    num_csts: int = 0
+    kernel: KernelReport | None = None
+    pcie_seconds: float = 0.0
+    fetch_seconds: float = 0.0
+    fault_overhead_seconds: float = 0.0
+    host_overhead_seconds: float = 0.0
+    schedule: list = field(default_factory=list)
+    timeline: float = 0.0
+    seconds: float = 0.0
 
 
 @dataclass
@@ -130,12 +178,15 @@ class ExecuteOutcome:
     cpu_share_seconds: float = 0.0
     fault_overhead_seconds: float = 0.0
     fallback_seconds: float = 0.0
-    #: FPGA-side modeled seconds after the overlap timeline (equals
+    #: FPGA-side modeled seconds after the overlap timeline: the
+    #: makespan over ``devices`` (on a single device this equals
     #: ``pcie + kernel + fault_overhead`` at ``buffers = 1``).
     fpga_seconds: float = 0.0
     #: How many partitions were replayed from a resume journal instead
     #: of executed (0 for fresh runs).
     resumed_partitions: int = 0
+    #: One entry per fleet device, in device-index order.
+    devices: list[DeviceLoad] = field(default_factory=list)
 
 
 @dataclass
@@ -150,39 +201,9 @@ class MergedRun:
 # ----------------------------------------------------------------------
 
 
-def cached_partition_list(
-    ctx: RunContext,
-    data: Graph,
-    cst: CST,
-    plan: StagePlan,
-    limits: PartitionLimits,
-    k_policy: int | str = "greedy",
-    split_policy: str = "order",
-    extra_key: tuple = (),
-) -> tuple[list[CST], PartitionStats, bool]:
-    """Pure Algorithm 2, memoized per ``(graph, query, order, delta_S,
-    delta_D, policies)``; returns ``(parts, stats, was_cached)``.
-
-    The default key assumes ``cst`` is the full Algorithm 1 output for
-    ``(data, query)``. Callers partitioning a *sub*-CST (the fault
-    supervisor re-splitting one failed partition) must pass a
-    distinguishing ``extra_key``, since the sub-CST is not a function
-    of the base key alone.
-    """
-    key = (
-        data, plan.query.graph, plan.order,
-        limits.max_bytes, limits.max_degree,
-        str(k_policy), split_policy,
-        *extra_key,
-    )
-    (parts, stats), cached = ctx.cache.get_or_build(
-        "partition", key,
-        lambda: partition_to_list(
-            cst, plan.order, limits,
-            k_policy=k_policy, split_policy=split_policy,
-        ),
-    )
-    return parts, stats, cached
+def _own_device(ctx: RunContext) -> Fleet:
+    """The context's single device as a fleet of one."""
+    return Fleet((ctx.fpga,), (ctx.device_part,))
 
 
 def plan_stage(
@@ -261,8 +282,9 @@ def partition_stage(
     With ``absorb_oversized`` (FAST-SHARE), the scheduler may claim a
     whole oversized CST for the CPU before it is split; that couples
     partitioning to live scheduler state, so the fused path bypasses
-    the partition cache. The pure path partitions once (memoized) and
-    replays scheduling over the cached list, which is equivalent
+    the partition cache. The pure path partitions once (memoized per
+    ``(graph, query, order, delta_S, delta_D, policies)``) and replays
+    scheduling over the cached list, which is equivalent
     because execution never feeds back into Algorithm 3's decisions.
     """
     scheduler = WorkloadScheduler(delta=delta)
@@ -289,9 +311,14 @@ def partition_stage(
             )
             cached = False
         else:
-            parts, stats, cached = cached_partition_list(
-                ctx, data, cst, plan, limits,
-                k_policy=k_policy, split_policy=split_policy,
+            (parts, stats), cached = ctx.cache.get_or_build(
+                "partition",
+                (data, plan.query.graph, plan.order, limits.max_bytes,
+                 limits.max_degree, str(k_policy), split_policy),
+                lambda: partition_to_list(
+                    cst, plan.order, limits,
+                    k_policy=k_policy, split_policy=split_policy,
+                ),
             )
             for part in parts:
                 target = scheduler.assign(part)
@@ -310,8 +337,17 @@ def partition_stage(
     )
 
 
-def schedule_stage(ctx: RunContext, work: ScheduledWork) -> ScheduledWork:
-    """Record the CPU/FPGA workload split Algorithm 3 arrived at."""
+def schedule_stage(
+    ctx: RunContext, work: ScheduledWork, fleet: Fleet | None = None
+) -> ScheduledWork:
+    """Record Algorithm 3's CPU/FPGA split and place the FPGA share.
+
+    ``fleet`` is a multi-FPGA pool; ``None`` is the context's own
+    device, the fleet of one. One exclusion rule holds for every fleet:
+    a device the fault plan marks dead or whose breaker is open takes
+    no work (no survivor raises :class:`FatalDeviceError`). Placement
+    reuses Algorithm 3's workload estimates.
+    """
     with ctx.stage("schedule") as st:
         st.note(
             cpu_csts=len(work.cpu_parts),
@@ -319,16 +355,36 @@ def schedule_stage(ctx: RunContext, work: ScheduledWork) -> ScheduledWork:
             cpu_workload_fraction=work.scheduler.cpu_fraction,
             delta=work.scheduler.delta,
         )
+        work.fleet = devices = fleet or _own_device(ctx)
+        work.pooled = fleet is not None
+        n_dev = len(devices.configs)
         ledger = ctx.health_ledger
-        if ledger is not None:
-            # Single-device runs place all FPGA work on device 0; the
-            # ledger's influence here is the pre-shrunk delta_S the
-            # runner applied before partitioning (multi-FPGA placement
-            # additionally steers whole partitions between devices).
-            st.note(
-                device_penalty=ledger.penalty(0),
-                delta_s_scale=ledger.delta_s_scale(0),
-            )
+        penalties = (ledger.penalties(n_dev) if ledger is not None
+                     else (0.0,) * n_dev)
+        fplan = ctx.fault_plan
+        excluded = {d: DEVICE_DEAD for d in range(n_dev)
+                    if fplan is not None and fplan.device_dead(d)}
+        if ctx.breaker is not None:
+            for d in sorted(ctx.breaker.open_devices(n_dev)):
+                excluded.setdefault(d, "breaker_open")
+        work.placement = place_partitions(
+            [w for target, w in work.scheduler.decisions if target == "fpga"],
+            ([p.size_bytes() for p in work.fpga_parts]
+             if devices.bid is not None else None),
+            devices.configs, penalties, excluded, devices.bid,
+        )
+        if work.pooled:
+            st.note(num_devices=n_dev,
+                    csts_per_device=work.placement.planned)
+            if any(part is not None for part in devices.parts):
+                st.note(fleet=devices.parts)
+            if ledger is not None:
+                st.note(device_penalties=penalties)
+        elif ledger is not None:
+            # A single device feels the ledger through the delta_S the
+            # runner pre-shrank before partitioning.
+            st.note(device_penalty=ledger.penalty(0),
+                    delta_s_scale=ledger.delta_s_scale(0))
     return work
 
 
@@ -402,6 +458,7 @@ def _attempt_partition(
             events.append(FaultEvent(
                 kind=exc.kind, scope=scope, attempt=attempt,
                 action="retry", backoff_seconds=backoff,
+                device=core.device,
             ))
             # Backoff is charged, not slept: it delays the modeled
             # FPGA-side critical path and is booked as stage wall time.
@@ -440,26 +497,6 @@ def _tightened_subpartitions(
     return parts, stats
 
 
-def _run_fpga_partition(
-    cfg: FpgaConfig,
-    variant: str,
-    part: CST,
-    match_plan: MatchPlan,
-    collect_results: bool,
-    trace_modules: bool = False,
-) -> KernelReport:
-    """Fault-free kernel launch of one FPGA partition.
-
-    A module-level function closed over nothing, so tasks pickle and
-    the fault-free path can run under a process pool. Each task builds
-    a private engine: :class:`FastEngine` holds only configuration, so
-    a fresh instance is behaviorally identical to a shared one while
-    keeping workers free of shared state.
-    """
-    engine = FastEngine(cfg, variant, trace_modules=trace_modules)
-    return engine.run(part, collect_results=collect_results, plan=match_plan)
-
-
 def _run_cpu_partition(
     part: CST, order: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
@@ -484,9 +521,11 @@ def _supervise_partition(
     idx: int,
     journal_append: Callable[[dict], Any] | None = None,
 ) -> PartitionOutcome:
-    """Degradation ladder for one FPGA partition, as a pool task.
+    """One FPGA partition on its device, as a pool task.
 
-    Every input is picklable (``core`` is the extracted
+    Without a fault plan this is one clean launch (transfer + kernel);
+    with one it walks the degradation ladder. Every input is picklable
+    (``core`` is the device's extracted
     :class:`~repro.runtime.faults.SupervisorCore`), so supervised
     partitions run inline or in the worker pool alike. Fault
     decisions and backoff are pure in the seed and scope, so a worker
@@ -583,6 +622,7 @@ def _supervise_partition(
             out.events.append(FaultEvent(
                 kind=last_kind, scope=scope,
                 attempt=policy.max_retries, action="repartition",
+                device=core.device,
             ))
             host_cost = core.host_seconds(stats.total_bytes // ENTRY_BYTES)
             # Re-partitioning runs on the host, not the card: it is
@@ -597,10 +637,298 @@ def _supervise_partition(
         out.events.append(FaultEvent(
             kind=last_kind, scope=scope,
             attempt=policy.max_retries, action="cpu_fallback",
+            device=core.device,
         ))
         out.segments.append((pcie, overhead))
         out.fallbacks.append(_run_cpu_partition(cur, plan.order))
     return out
+
+
+def _build_tasks(
+    ctx: RunContext,
+    plan: StagePlan,
+    work: ScheduledWork,
+    devices: Fleet,
+    data: Graph,
+    engine_variant: str,
+    collect_results: bool,
+    limits: PartitionLimits | None,
+    dev_of: list[int],
+    pending: tuple[list[int], list[int]],
+    journal_append: Callable[[dict], Any] | None,
+) -> list[Task]:
+    """One task per pending partition, FPGA tasks first; each FPGA task
+    is supervised on the config of the device it was placed on."""
+    journal = ctx.journal
+    replay = (
+        journal.ladder_records()
+        if journal is not None and journal.resume else {}
+    )
+    cores = [
+        SupervisorCore(
+            fpga=cfg,
+            engine_variant=engine_variant,
+            retry_policy=ctx.retry_policy,
+            fault_plan=ctx.fault_plan,
+            seed=ctx.seed,
+            trace_modules=ctx.tracer.enabled,
+            cpu_cost=ctx.cpu_cost,
+            avg_degree=data.average_degree(),
+            num_vertices=data.num_vertices,
+            # Only a pool names devices on its events; the fleet of
+            # one leaves device 0 implicit.
+            device=d if work.pooled else None,
+        )
+        for d, cfg in enumerate(devices.configs)
+    ]
+    pending_fpga, pending_cpu = pending
+    tasks: list[Task] = [
+        (_supervise_partition,
+         (cores[dev_of[i]], plan, limits, collect_results, replay,
+          work.fpga_parts[i], i, journal_append))
+        for i in pending_fpga
+    ]
+    tasks.extend(
+        (_run_cpu_partition, (work.cpu_parts[j], plan.order))
+        for j in pending_cpu
+    )
+    return tasks
+
+
+def _dispatch(
+    ctx: RunContext,
+    st: Any,
+    tasks: list[Task],
+    on_done: Callable[[int, Any], None],
+    pool: Any,
+    pool_stats0: dict[str, int],
+) -> None:
+    """Run ``tasks`` inline (``pool is None``) or on the warm pool, then
+    book the pool's counter deltas since ``pool_stats0`` and a
+    wall-clock ``pool`` lane of its decisions."""
+    if pool is not None:
+        # Ask workers to time their tasks only when this run is
+        # tracing; the reply protocol is unchanged otherwise.
+        pool.set_trace(ctx.tracer.enabled)
+    run_tasks(tasks, on_done, pool, ctx)
+    if pool is None:
+        return
+    # Per-stage deltas of the warm pool's cumulative counters (the
+    # pool outlives this stage), plus a wall-clock `pool` trace lane
+    # of every supervision decision. All of this is strictly
+    # wall-domain: modeled seconds and counts are merged later and
+    # cannot see it.
+    after = pool.stats.to_dict()
+    st.note(
+        pool_warm=True,
+        **{
+            f"pool_{key}": after[key] - pool_stats0.get(key, 0)
+            for key in (
+                "spawned", "respawns", "redispatches", "hedges",
+                "quarantines", "shm_fallbacks", "stall_kills",
+                "recycled", "chunks",
+            )
+        },
+    )
+    tracer = ctx.tracer
+    events = pool.drain_events()
+    worker_spans = pool.drain_worker_spans()
+    if tracer.enabled and (events or worker_spans):
+        epoch = time.perf_counter() - tracer.now_wall()
+        for ts, kind, detail in events:
+            tracer.instant(
+                "pool", kind, max(0.0, ts - epoch),
+                clock=WALL, **detail,
+            )
+            if ctx.log is not None:
+                ctx.log.info(
+                    f"pool_{kind}",
+                    request_id=tracer.request_id,
+                    **detail,
+                )
+        # Worker-side spans (task execution, injected stalls, cold shm
+        # attaches) land on one wall lane per worker slot —
+        # perf_counter is CLOCK_MONOTONIC and system-wide, so the same
+        # epoch rebases them. Slot -1 is parent-inline quarantine work.
+        for slot, name, start, seconds, args in worker_spans:
+            lane = (
+                "pool/parent" if slot < 0
+                else f"pool/worker{slot}"
+            )
+            tracer.span(
+                lane, name, max(0.0, start - epoch),
+                seconds, clock=WALL, **args,
+            )
+
+
+def _merge(
+    ctx: RunContext,
+    plan: StagePlan,
+    work: ScheduledWork,
+    devices: Fleet,
+    outcomes: dict[int, PartitionOutcome],
+    cpu_done: dict[int, tuple[list, CpuMatchCounters]],
+    data: Graph,
+    engine_variant: str,
+    collect_results: bool,
+    threads: int,
+    efficiency: float,
+) -> ExecuteOutcome:
+    """Index-ordered merge of every outcome into the stage's result.
+
+    Fault events, CPU-share results and fallbacks merge in partition
+    order; each device walks its queue in launch order. A device's
+    FPGA-side time is the flat ``pcie + kernel + fault_overhead`` at
+    ``buffers = 1``, else ``timeline + host_overhead + fetch`` (host
+    re-partitioning and the fetch cannot overlap kernels); the fleet's
+    is the makespan. An idle device of a pool costs nothing; the single
+    device always fetches its results.
+    """
+    def host_seconds(c: CpuMatchCounters) -> float:
+        """The basic matcher's modeled seconds on ``threads`` cores."""
+        return ctx.cpu_cost.seconds(
+            OpCounters(recursive_calls=c.recursive_calls,
+                       extensions=c.extensions_generated,
+                       edge_checks=c.edge_checks, embeddings=c.embeddings),
+            data.average_degree(), data.num_vertices,
+        ) / max(1.0, threads * efficiency)
+
+    buffers = ctx.executor.buffers
+    result_bytes = plan.query.num_vertices * ENTRY_BYTES
+    placement = work.placement
+    runs = [
+        DeviceLoad(index=d, part=part, workload=placement.loads[d],
+                   num_csts=len(placement.queues[d]))
+        for d, part in enumerate(devices.parts)
+    ]
+    for run, queue in zip(runs, placement.queues):
+        if not queue and work.pooled:
+            continue
+        cfg = devices.configs[run.index]
+        run.kernel = KernelReport(
+            variant=engine_variant, clock_mhz=cfg.clock_mhz
+        )
+        if collect_results:
+            run.kernel.results = []
+        segments: list[tuple[float, float]] = []
+        for i in queue:
+            out = outcomes[i]
+            for report in out.reports:
+                run.kernel.merge(report)
+            run.pcie_seconds += out.pcie_seconds
+            run.fault_overhead_seconds += out.overhead_seconds
+            run.host_overhead_seconds += out.host_overhead_seconds
+            segments.extend(out.segments)
+        run.fetch_seconds = PcieLink(cfg).fetch_from_card(
+            run.kernel.embeddings * result_bytes
+        )
+        run.pcie_seconds += run.fetch_seconds
+        run.schedule = overlap_schedule(segments, buffers)
+        run.timeline = run.schedule[-1][3] if run.schedule else 0.0
+        if buffers <= 1:
+            # The exact pre-pipeline arithmetic: a flat serial sum.
+            run.seconds = (run.pcie_seconds + run.kernel.seconds
+                           + run.fault_overhead_seconds)
+        else:
+            # Double-buffered card timeline; host-side re-partition
+            # cost and the result fetch cannot overlap kernels.
+            run.seconds = (run.timeline + run.host_overhead_seconds
+                           + run.fetch_seconds)
+    kernel = runs[0].kernel
+    if work.pooled:  # fleet-wide counts and cycles (clocks may differ)
+        kernel = KernelReport(variant=engine_variant,
+                              clock_mhz=devices.configs[0].clock_mhz)
+        if collect_results:
+            kernel.results = []
+        for run in runs:
+            if run.kernel is not None:
+                kernel.merge(run.kernel)
+
+    # Fallback partitions run on the host *after* their FPGA attempts
+    # failed, so their time cannot hide in the overlap window; it is
+    # charged on top of the stage total. The matching itself happened
+    # inside each supervisor task (which is what makes an outcome
+    # journalable as one record); here the counters merge in
+    # partition-index, then ladder, order.
+    cpu, fallback = CpuMatchCounters(), CpuMatchCounters()
+    cpu_embeddings = 0
+    cpu_results: list[tuple[int, ...]] = []
+    found_lists = [cpu_done[j] for j in range(len(work.cpu_parts))]
+    fallbacks = []
+    for i in range(len(work.fpga_parts)):
+        for event in outcomes[i].events:
+            ctx.health.record(event)
+        fallbacks.extend(outcomes[i].fallbacks)
+    for counters_sum, pairs in ((cpu, found_lists), (fallback, fallbacks)):
+        for found, counters in pairs:
+            counters_sum.merge(counters)
+            cpu_embeddings += len(found)
+            if collect_results:
+                cpu_results.extend(found)
+    return ExecuteOutcome(
+        kernel=kernel,
+        cpu_embeddings=cpu_embeddings,
+        cpu_results=cpu_results,
+        pcie_seconds=sum(run.pcie_seconds for run in runs),
+        cpu_share_seconds=host_seconds(cpu),
+        fault_overhead_seconds=sum(r.fault_overhead_seconds for r in runs),
+        fallback_seconds=host_seconds(fallback),
+        fpga_seconds=max(run.seconds for run in runs),
+        devices=runs,
+    )
+
+
+def _emit_modeled_lanes(
+    ctx: RunContext,
+    work: ScheduledWork,
+    executed: ExecuteOutcome,
+    outcomes: dict[int, PartitionOutcome],
+    clocks: list[float],
+) -> None:
+    """Every modeled trace lane of the stage.
+
+    All modeled lanes are emitted here, after the index-ordered merge,
+    never from worker threads — the modeled half of a trace is
+    deterministic at any ``workers`` (wall lanes are real time and are
+    not).
+    """
+    tracer = ctx.tracer
+    if executed.cpu_share_seconds:
+        tracer.span("host", "cpu share", 0.0,
+                    executed.cpu_share_seconds, clock=MODELED)
+    if executed.fallback_seconds:
+        tracer.span("host", "cpu fallback",
+                    max(executed.cpu_share_seconds, executed.fpga_seconds),
+                    executed.fallback_seconds, clock=MODELED)
+    for run in executed.devices:
+        if run.kernel is None:
+            continue
+        trace_device_lanes(tracer, run.index, run.schedule,
+                           run.kernel.module_spans, clocks[run.index],
+                           part=run.part)
+        if run.fetch_seconds:
+            tracer.span(f"{device_lane_prefix(run.index, run.part)}/pcie",
+                        "fetch results", run.timeline, run.fetch_seconds,
+                        clock=MODELED)
+        if run.host_overhead_seconds:
+            tracer.span("host", "repartition", run.timeline,
+                        run.host_overhead_seconds, clock=MODELED)
+        seg = 0  # each partition's faults mark its first launch
+        for i in work.placement.queues[run.index]:
+            at = (run.schedule[seg][0] if seg < len(run.schedule)
+                  else run.timeline)
+            for event in outcomes[i].events:
+                tracer.instant("faults", f"{event.kind}:{event.action}",
+                               at, clock=MODELED, partition=i,
+                               attempt=event.attempt)
+            seg += len(outcomes[i].segments)
+    for status, kind in (("dead", DEVICE_DEAD), ("open", "breaker_open")):
+        for d, device_status in enumerate(work.placement.status):
+            if device_status == status:
+                tracer.instant("faults", f"{kind}:failover", 0.0,
+                               clock=MODELED, device=d)
+    if executed.resumed_partitions:
+        tracer.count("journal_replays", executed.resumed_partitions)
 
 
 def execute_stage(
@@ -616,11 +944,14 @@ def execute_stage(
 ) -> ExecuteOutcome:
     """Kernel over FPGA partitions + basic matcher over CPU partitions.
 
-    The stage's modeled time follows the Section V-C overlap rule:
-    ``max(cpu_share, fpga_side) + fallback``. With ``buffers = 1`` (the
-    default) the FPGA side is the flat serial sum
+    Each FPGA partition runs on the device the schedule stage placed it
+    on; a single device is the fleet of one. The stage's modeled time
+    follows the Section V-C overlap rule:
+    ``max(cpu_share, fpga_side) + fallback``, the FPGA side being the
+    makespan over devices. With ``buffers = 1`` (the default) a
+    device's time is the flat serial sum
     ``pcie + kernel + fault_overhead``; with ``buffers >= 2`` it is the
-    double-buffered pipeline of :func:`overlap_timeline`, where the
+    double-buffered pipeline of :func:`overlap_schedule`, where the
     transfer of partition *i* overlaps the kernels of the previous
     ``buffers - 1`` launches (host-side re-partition cost and the
     result fetch stay serial). Independent partitions — FPGA and
@@ -656,35 +987,14 @@ def execute_stage(
     :class:`~repro.common.errors.JournalMismatchError` before any work
     runs.
     """
-    cfg = ctx.fpga
-    q = plan.query
-    exec_cfg = ctx.executor
-    supervised = ctx.fault_plan is not None
+    devices = work.fleet
+    placement = work.placement
     journal = ctx.journal
-    ladder_replay = (
-        journal.ladder_records()
-        if journal is not None and journal.resume else {}
-    )
-    core = SupervisorCore(
-        fpga=cfg,
-        engine_variant=engine_variant,
-        retry_policy=ctx.retry_policy,
-        fault_plan=ctx.fault_plan,
-        seed=ctx.seed,
-        trace_modules=ctx.tracer.enabled,
-        cpu_cost=ctx.cpu_cost,
-        avg_degree=data.average_degree(),
-        num_vertices=data.num_vertices,
-    ) if supervised else None
     with ctx.stage("execute") as st:
-        link = PcieLink(cfg)
-        kernel_total = KernelReport(
-            variant=engine_variant, clock_mhz=cfg.clock_mhz
-        )
-        if collect_results:
-            kernel_total.results = []
-        health = ctx.health
-        health.device_status.setdefault(0, "ok")
+        for d, status in enumerate(placement.status):
+            ctx.health.mark_device(d, status)
+        for event in placement.events:
+            ctx.health.record(event)
         n_fpga = len(work.fpga_parts)
         n_cpu = len(work.cpu_parts)
 
@@ -692,13 +1002,21 @@ def execute_stage(
         outcomes: dict[int, PartitionOutcome] = {}
         cpu_done: dict[int, tuple[list, CpuMatchCounters]] = {}
         if journal is not None:
+            extra: tuple = ()
+            if work.pooled:
+                # A pool pins its placement, deterministic given the
+                # ledger state, which a crash cannot have changed (the
+                # ledger persists only at finish_run).
+                extra = ("multi", placement.queues, placement.status,
+                         tuple(zip(devices.parts,
+                                   map(repr, devices.configs))))
             total_bytes = sum(
                 p.size_bytes() for p in (*work.fpga_parts, *work.cpu_parts)
             )
             fingerprint = run_fingerprint(
                 ctx, plan, data, engine_variant,
                 (n_fpga, n_cpu, total_bytes),
-                exec_cfg.buffers, collect_results,
+                ctx.executor.buffers, collect_results, extra=extra,
             )
             journal.ensure_header(
                 fingerprint,
@@ -724,33 +1042,38 @@ def execute_stage(
 
         # -- deadline cancellation points ------------------------------
         # The budget is checked against the modeled cost of the
-        # *contiguous prefix* of completed FPGA partitions (flat
-        # pcie + kernel + fault overhead, on top of the modeled time
-        # of the earlier stages). Prefix costs are fixed by the
-        # worklist, not by completion order, so whether a run is
-        # cancelled — though not which extra partitions the pool
-        # happened to finish — is identical at any worker count.
+        # *contiguous prefix* of completed FPGA partitions, on top of
+        # the modeled time of the earlier stages. Each prefix partition
+        # adds its flat pcie + kernel + fault overhead to the device it
+        # is queued on, and the check charges the busiest device, as
+        # the stage charges the makespan: at ``buffers = 1`` a prefix
+        # never costs more than the finished run (on a single device
+        # it is the flat serial sum). Prefix costs are fixed by the
+        # worklist, not by completion order, so whether and at which
+        # prefix a run is cancelled is identical at any worker count.
         # Every checked outcome is already journaled, so a cancelled
         # run's journal resumes bit-identically.
         token = ctx.cancellation
-        base_modeled = ctx.current_metrics.modeled_seconds
-        deadline_prefix = {"next": 0, "cost": base_modeled}
+        dev_of = placement.device_of()
+        device_cost = [ctx.current_metrics.modeled_seconds] * len(
+            devices.configs
+        )
+        prefix = [0]
 
         def check_deadline() -> None:
             if token is None:
                 return
-            while deadline_prefix["next"] in outcomes:
-                out = outcomes[deadline_prefix["next"]]
-                deadline_prefix["cost"] += (
+            where = "execute partition prefix"
+            token.check(max(device_cost), f"{where} {prefix[0]}")
+            while prefix[0] in outcomes:
+                out = outcomes[prefix[0]]
+                device_cost[dev_of[prefix[0]]] += (
                     out.pcie_seconds
                     + sum(r.seconds for r in out.reports)
                     + out.overhead_seconds
                 )
-                deadline_prefix["next"] += 1
-            token.check(
-                deadline_prefix["cost"],
-                f"execute partition prefix {deadline_prefix['next']}",
-            )
+                prefix[0] += 1
+                token.check(max(device_cost), f"{where} {prefix[0]}")
 
         check_deadline()  # a replayed prefix may already exceed it
 
@@ -776,50 +1099,26 @@ def execute_stage(
             if len(pending_fpga) + len(pending_cpu) > 1 else None
         )
 
-        if supervised:
-            # Inline supervisors share the parent's memory and journal
-            # each ladder rung write-ahead; pool supervisors cannot
-            # reach the journal fd, so rung records ride back on the
-            # outcome and the parent appends them in on_done — before
-            # the partition record, preserving order.
-            journal_append = (
-                journal.append
-                if journal is not None and journal.active and pool is None
-                else None
-            )
-            fpga_tasks: list[Task] = [
-                (_supervise_partition,
-                 (core, plan, limits, collect_results, ladder_replay,
-                  work.fpga_parts[i], i, journal_append))
-                for i in pending_fpga
-            ]
-        else:
-            fpga_tasks = [
-                (_run_fpga_partition,
-                 (cfg, engine_variant, work.fpga_parts[i], plan.match_plan,
-                  collect_results, ctx.tracer.enabled))
-                for i in pending_fpga
-            ]
-        cpu_tasks: list[Task] = [
-            (_run_cpu_partition, (work.cpu_parts[j], plan.order))
-            for j in pending_cpu
-        ]
+        # Inline supervisors share the parent's memory and journal
+        # each ladder rung write-ahead; pool supervisors cannot
+        # reach the journal fd, so rung records ride back on the
+        # outcome and the parent appends them in on_done — before
+        # the partition record, preserving order.
+        journal_append = (
+            journal.append
+            if journal is not None and journal.active and pool is None
+            else None
+        )
+        tasks = _build_tasks(
+            ctx, plan, work, devices, data, engine_variant,
+            collect_results, limits, dev_of, (pending_fpga, pending_cpu),
+            journal_append,
+        )
 
         def on_done(pos: int, result: object) -> None:
-            if pos < len(fpga_tasks):
+            if pos < len(pending_fpga):
                 i = pending_fpga[pos]
-                if supervised:
-                    out = result
-                else:
-                    # One clean launch: transfer cost + kernel report.
-                    cost = link.send_to_card(
-                        work.fpga_parts[i].size_bytes()
-                    )
-                    out = PartitionOutcome(
-                        reports=[result],
-                        segments=[(cost, result.seconds)],
-                        pcie_seconds=cost,
-                    )
+                out = result
                 outcomes[i] = out
                 if journal is not None:
                     for rec in out.ladder_records:
@@ -829,7 +1128,7 @@ def execute_stage(
                     )
                 check_deadline()
             else:
-                j = pending_cpu[pos - len(fpga_tasks)]
+                j = pending_cpu[pos - len(pending_fpga)]
                 found, counters = result
                 cpu_done[j] = (found, counters)
                 if journal is not None:
@@ -844,228 +1143,69 @@ def execute_stage(
                         ),
                     })
 
-        if pool is not None:
-            # Ask workers to time their tasks only when this run is
-            # tracing; the reply protocol is unchanged otherwise.
-            pool.set_trace(ctx.tracer.enabled)
-        run_tasks([*fpga_tasks, *cpu_tasks], on_done, pool, ctx)
-
-        # -- merge in partition-index order ----------------------------
-        pcie_seconds = 0.0
-        fault_overhead = 0.0
-        host_overhead = 0.0
-        backoff_wall = 0.0
-        segments: list[tuple[float, float]] = []
-        first_segment: dict[int, int] = {}
-        for i in range(n_fpga):
-            out = outcomes[i]
-            for report in out.reports:
-                kernel_total.merge(report)
-            pcie_seconds += out.pcie_seconds
-            fault_overhead += out.overhead_seconds
-            host_overhead += out.host_overhead_seconds
-            backoff_wall += out.backoff_wall_seconds
-            first_segment[i] = len(segments)
-            segments.extend(out.segments)
-            for event in out.events:
-                health.record(event)
+        _dispatch(ctx, st, tasks, on_done, pool, pool_stats0)
+        executed = _merge(
+            ctx, plan, work, devices, outcomes, cpu_done, data,
+            engine_variant, collect_results,
+            cpu_share_threads, cpu_thread_efficiency,
+        )
+        executed.resumed_partitions = resumed
         # Backoff is charged, not slept: it is booked as stage wall
         # time on top of the real elapsed time (zero without faults).
-        st.wall_seconds += backoff_wall
-
-        cpu_counters = CpuMatchCounters()
-        cpu_embeddings = 0
-        cpu_results: list[tuple[int, ...]] = []
-        for j in range(n_cpu):
-            found, counters = cpu_done[j]
-            cpu_counters.merge(counters)
-            cpu_embeddings += len(found)
-            if collect_results:
-                cpu_results.extend(found)
-        cpu_share_serial = ctx.cpu_cost.seconds(
-            OpCounters(
-                recursive_calls=cpu_counters.recursive_calls,
-                extensions=cpu_counters.extensions_generated,
-                edge_checks=cpu_counters.edge_checks,
-                embeddings=cpu_counters.embeddings,
-            ),
-            data.average_degree(),
-            data.num_vertices,
+        st.wall_seconds += sum(
+            outcomes[i].backoff_wall_seconds for i in range(n_fpga)
         )
-        cpu_share_seconds = cpu_share_serial / max(
-            1.0, cpu_share_threads * cpu_thread_efficiency
-        )
-
-        # Fallback partitions run on the host *after* their FPGA
-        # attempts failed, so their time cannot hide in the overlap
-        # window; it is charged on top of the stage total. The matching
-        # itself happened inside each supervisor task (which is what
-        # makes an outcome journalable as one record); here the
-        # counters merge in partition-index, then ladder, order.
-        fallback_counters = CpuMatchCounters()
-        for i in range(n_fpga):
-            for found, counters in outcomes[i].fallbacks:
-                fallback_counters.merge(counters)
-                cpu_embeddings += len(found)
-                if collect_results:
-                    cpu_results.extend(found)
-        fallback_serial = ctx.cpu_cost.seconds(
-            OpCounters(
-                recursive_calls=fallback_counters.recursive_calls,
-                extensions=fallback_counters.extensions_generated,
-                edge_checks=fallback_counters.edge_checks,
-                embeddings=fallback_counters.embeddings,
-            ),
-            data.average_degree(),
-            data.num_vertices,
-        )
-        fallback_seconds = fallback_serial / max(
-            1.0, cpu_share_threads * cpu_thread_efficiency
-        )
-
-        fetch_seconds = link.fetch_from_card(
-            kernel_total.embeddings * q.num_vertices * ENTRY_BYTES
-        )
-        pcie_seconds += fetch_seconds
-        schedule = overlap_schedule(segments, exec_cfg.buffers)
-        timeline = schedule[-1][3] if schedule else 0.0
-        if exec_cfg.buffers <= 1:
-            # The exact pre-pipeline arithmetic: a flat serial sum.
-            fpga_seconds = (
-                pcie_seconds + kernel_total.seconds + fault_overhead
-            )
-        else:
-            # Double-buffered card timeline; host-side re-partition
-            # cost and the single result fetch cannot overlap kernels.
-            fpga_seconds = timeline + host_overhead + fetch_seconds
-
         if ctx.tracer.enabled:
-            # All modeled lanes are emitted here, after the
-            # index-ordered merge, never from worker threads — the
-            # modeled half of a trace is deterministic at any
-            # ``workers`` (wall lanes are real time and are not).
-            tracer = ctx.tracer
-            trace_device_lanes(
-                tracer, 0, schedule, kernel_total.module_spans,
-                cfg.clock_mhz, part=ctx.device_part,
-            )
-            if fetch_seconds:
-                tracer.span(
-                    f"{device_lane_prefix(0, ctx.device_part)}/pcie",
-                    "fetch results", timeline,
-                    fetch_seconds, clock=MODELED,
-                )
-            if cpu_share_seconds:
-                tracer.span("host", "cpu share", 0.0,
-                            cpu_share_seconds, clock=MODELED)
-            if host_overhead:
-                tracer.span("host", "repartition", timeline,
-                            host_overhead, clock=MODELED)
-            if fallback_seconds:
-                tracer.span(
-                    "host", "cpu fallback",
-                    max(cpu_share_seconds, fpga_seconds),
-                    fallback_seconds, clock=MODELED,
-                )
-            for i in range(n_fpga):
-                seg = first_segment[i]
-                at = schedule[seg][0] if seg < len(schedule) else timeline
-                for event in outcomes[i].events:
-                    tracer.instant(
-                        "faults", f"{event.kind}:{event.action}", at,
-                        clock=MODELED, partition=i, attempt=event.attempt,
-                    )
-            if resumed:
-                tracer.count("journal_replays", resumed)
+            _emit_modeled_lanes(ctx, work, executed, outcomes,
+                                [c.clock_mhz for c in devices.configs])
 
+        kernel = executed.kernel
         st.modeled_seconds += (
-            max(cpu_share_seconds, fpga_seconds) + fallback_seconds
+            max(executed.cpu_share_seconds, executed.fpga_seconds)
+            + executed.fallback_seconds
         )
         st.note(
-            overlap_timeline=timeline,
-            kernel_seconds=kernel_total.seconds,
-            pcie_seconds=pcie_seconds,
-            cpu_share_seconds=cpu_share_seconds,
-            fpga_seconds=fpga_seconds,
-            cycles=kernel_total.total_cycles,
-            slr_crossing_cycles=kernel_total.slr_crossing_cycles,
-            rounds=kernel_total.rounds,
-            N=kernel_total.total_partials,
-            M=kernel_total.total_edge_tasks,
-            buffer_peak=max(kernel_total.buffer_peaks.values(), default=0),
-            num_csts=kernel_total.num_csts,
-            fault_overhead_seconds=fault_overhead,
-            fallback_seconds=fallback_seconds,
-            workers=exec_cfg.workers,
-            buffers=exec_cfg.buffers,
+            kernel_seconds=sum(run.kernel.seconds for run in executed.devices
+                               if run.kernel is not None),
+            pcie_seconds=executed.pcie_seconds,
+            cpu_share_seconds=executed.cpu_share_seconds,
+            fpga_seconds=executed.fpga_seconds,
+            cycles=kernel.total_cycles,
+            slr_crossing_cycles=kernel.slr_crossing_cycles,
+            rounds=kernel.rounds,
+            N=kernel.total_partials,
+            M=kernel.total_edge_tasks,
+            buffer_peak=max(kernel.buffer_peaks.values(), default=0),
+            num_csts=kernel.num_csts,
+            fault_overhead_seconds=executed.fault_overhead_seconds,
+            fallback_seconds=executed.fallback_seconds,
+            workers=ctx.executor.workers,
+            buffers=ctx.executor.buffers,
             pool="inline" if pool is None else "process",
             cst_plane="local" if pool is None else pool.cst_plane,
         )
-        if pool is not None:
-            # Per-stage deltas of the warm pool's cumulative counters
-            # (the pool outlives this stage), plus a wall-clock `pool`
-            # trace lane of every supervision decision. All of this is
-            # strictly wall-domain: modeled seconds and counts above
-            # are already merged and cannot see it.
-            after = pool.stats.to_dict()
+        if not work.pooled:
+            st.note(overlap_timeline=executed.devices[0].timeline)
+        else:
             st.note(
-                pool_warm=True,
-                **{
-                    f"pool_{key}": after[key] - pool_stats0.get(key, 0)
-                    for key in (
-                        "spawned", "respawns", "redispatches", "hedges",
-                        "quarantines", "shm_fallbacks", "stall_kills",
-                        "recycled", "chunks",
-                    )
-                },
+                overlap_timeline={str(run.index): run.timeline
+                                  for run in executed.devices
+                                  if run.kernel is not None},
+                makespan_seconds=executed.fpga_seconds,
+                device_seconds=tuple(run.seconds for run in executed.devices),
+                dead_devices=tuple(d for d, s in enumerate(placement.status)
+                                   if s == "dead"),
+                breaker_open_devices=tuple(
+                    d for d, s in enumerate(placement.status) if s == "open"
+                ),
             )
-            tracer = ctx.tracer
-            events = pool.drain_events()
-            worker_spans = pool.drain_worker_spans()
-            if tracer.enabled and (events or worker_spans):
-                epoch = time.perf_counter() - tracer.now_wall()
-                for ts, kind, detail in events:
-                    tracer.instant(
-                        "pool", kind, max(0.0, ts - epoch),
-                        clock=WALL, **detail,
-                    )
-                    if ctx.log is not None:
-                        ctx.log.info(
-                            f"pool_{kind}",
-                            request_id=tracer.request_id,
-                            **detail,
-                        )
-                # Worker-side spans (task execution, injected stalls,
-                # cold shm attaches) land on one wall lane per worker
-                # slot — perf_counter is CLOCK_MONOTONIC and
-                # system-wide, so the same epoch rebases them. Slot -1
-                # is parent-inline quarantine work.
-                for slot, name, start, seconds, args in worker_spans:
-                    lane = (
-                        "pool/parent" if slot < 0
-                        else f"pool/worker{slot}"
-                    )
-                    tracer.span(
-                        lane, name, max(0.0, start - epoch),
-                        seconds, clock=WALL, **args,
-                    )
         if journal is not None:
             st.note(
                 journaled=True,
                 journal_path=str(journal.path),
                 resumed_partitions=resumed,
             )
-    return ExecuteOutcome(
-        kernel=kernel_total,
-        cpu_embeddings=cpu_embeddings,
-        cpu_results=cpu_results,
-        pcie_seconds=pcie_seconds,
-        cpu_share_seconds=cpu_share_seconds,
-        fault_overhead_seconds=fault_overhead,
-        fallback_seconds=fallback_seconds,
-        fpga_seconds=fpga_seconds,
-        resumed_partitions=resumed,
-    )
+    return executed
 
 
 def merge_stage(

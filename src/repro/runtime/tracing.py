@@ -305,10 +305,10 @@ def trace_device_lanes(
     lanes. ``module_spans`` are the engine's per-round occupancy spans
     on the card's *serial* cycle clock (launches back to back, no PCIe
     gaps), converted to seconds at ``clock_mhz`` and drawn one lane per
-    kernel module — the view that reproduces Fig. 5. The single-FPGA
-    execute stage emits device 0; the multi-FPGA runner one device per
-    lane group, in device-index order, so traces stay deterministic.
-    ``part`` labels the lane group with the device's catalog part name
+    kernel module — the view that reproduces Fig. 5. The execute stage
+    emits one lane group per active fleet device, in device-index order
+    (device 0 alone on a single device), so traces stay deterministic.
+    ``part`` labels the group with the device's catalog part name
     (see :func:`device_lane_prefix`).
     """
     if not tracer.enabled:

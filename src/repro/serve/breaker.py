@@ -11,11 +11,11 @@ instead of wall-clock time:
     resets it.
 ``OPEN``
     after ``failure_threshold`` consecutive failures the device is
-    excluded: :meth:`open_devices` reports it, the multi-FPGA runner
-    reroutes its queue to the remaining fleet
-    (``host/multi_fpga.py``), and single-device jobs go straight to
-    the exact-CPU fallback. The state holds for ``cooldown_jobs``
-    served jobs (:meth:`job_tick`).
+    excluded: :meth:`open_devices` reports it and the schedule stage
+    fails its queue over to the rest of the fleet. A job whose whole
+    fleet is open (:meth:`all_open`; one device for the FAST family)
+    goes straight to the exact-CPU fallback. The state holds for
+    ``cooldown_jobs`` served jobs (:meth:`job_tick`).
 ``HALF_OPEN``
     after the cooldown the next job that would use the device runs as
     a probe: the device is re-admitted for that one job. A clean
@@ -72,9 +72,8 @@ class CircuitBreaker:
         """Device indices placement must avoid right now.
 
         A ``HALF_OPEN`` device is *not* reported: the next job that
-        would use it is its probe. This is the hook
-        :class:`~repro.host.multi_fpga.MultiFpgaRunner` calls through
-        ``ctx.breaker``.
+        would use it is its probe. The schedule stage calls this hook
+        through ``ctx.breaker`` once per run, for every fleet.
         """
         excluded = set()
         for index in range(num_devices):

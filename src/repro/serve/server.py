@@ -56,6 +56,8 @@ from repro.common.errors import (
 )
 from repro.common.io import atomic_write_text, fsync_append, read_jsonl
 from repro.experiments.harness import HarnessConfig, make_context
+from repro.fpga.catalog import parse_fleet
+from repro.host.multi_fpga import fleet_size
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.generator import LdbcDataset
 from repro.ldbc.queries import get_query
@@ -70,7 +72,7 @@ from repro.obs.registry import MetricsRegistry, serve_families
 from repro.obs.slo import SloTracker
 from repro.runtime.tracing import WALL, Tracer
 from repro.serve.admission import AdmissionController, CostEstimator
-from repro.serve.breaker import OPEN, CircuitBreaker
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.protocol import (
     TERMINAL_STATUSES,
     JobRequest,
@@ -114,9 +116,6 @@ class ServeConfig:
     state_dir: str | None = None
     #: Persistent device-health ledger shared with standalone runs.
     health_ledger_path: str | None = None
-    #: Devices of the multi-FPGA pool (follows the harness config's
-    #: ``fleet`` when that is set).
-    num_devices: int = 2
     #: Enable request-lifecycle tracing (docs/observability.md).
     trace: bool = False
     #: Serve ``/metrics`` + ``/healthz`` over loopback HTTP while the
@@ -404,12 +403,16 @@ class MatchServer:
     # -- admission / queueing ------------------------------------------
 
     def _pool_size(self) -> int:
+        """Devices of the multi-FPGA pool, from the same source the
+        backend reads: the harness fleet, else the shared default."""
         fleet = self.config.harness.fleet
-        if fleet is not None:
-            from repro.fpga.catalog import parse_fleet
+        return fleet_size(parse_fleet(fleet) if fleet is not None else None)
 
-            return len(parse_fleet(fleet))
-        return self.config.num_devices
+    def _devices_of(self, spec) -> int:
+        """Devices a backend family runs on (0 for host-only ones)."""
+        if spec.family == "multi-fpga":
+            return self._pool_size()
+        return 1 if spec.family == "fast" else 0
 
     def _dataset(self, name: str) -> LdbcDataset:
         harness = self.config.harness
@@ -626,12 +629,8 @@ class MatchServer:
 
     def _breaker_reroute(self, spec) -> bool:
         """Whether ``spec`` cannot run because its devices are open."""
-        if spec.family == "multi-fpga":
-            return self.breaker.all_open(self._pool_size())
-        if spec.family == "fast":
-            breaker = self.breaker.devices.get(0)
-            return breaker is not None and breaker.state == OPEN
-        return False
+        devices = self._devices_of(spec)
+        return devices > 0 and self.breaker.all_open(devices)
 
     def _feed_breaker(self, metrics: dict[str, Any]) -> None:
         """Update breakers from a finished job's health block."""
@@ -720,7 +719,7 @@ class MatchServer:
                     detail=str(exc),
                 )
             except FatalDeviceError as exc:
-                for index in range(self._pool_size()):
+                for index in range(self._devices_of(spec)):
                     self.breaker.record_failure(index)
                 if (
                     self.config.cpu_fallback

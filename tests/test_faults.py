@@ -167,6 +167,21 @@ class TestCountsInvariant:
         faulty = run_backend(backend, dataset, fault_plan=plan)
         assert faulty.embeddings == baseline.embeddings
         assert faulty.verdict == "OK"
+        if backend == "multi-fpga":
+            # The pool runs the same partitions as the single device
+            # (same scopes, same fault schedule), so it records the
+            # same retry events; only the device stamp differs.
+            single = run_backend("fast-sep", dataset, fault_plan=plan)
+
+            def retries(out):
+                return [
+                    (e["kind"], e["scope"], e["attempt"])
+                    for e in out.health["fault_events"]
+                    if e["action"] == "retry"
+                ]
+
+            assert retries(faulty) == retries(single)
+            assert faulty.health["retries"] == single.health["retries"]
 
     @pytest.mark.parametrize("query", ["q0", "q2"])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -187,6 +202,28 @@ class TestCountsInvariant:
         assert health["degraded"]
         assert health["repartitions"] + health["fallbacks"] > 0
 
+    @pytest.mark.parametrize("query", ["q0", "q2"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_multi_fpga_counts_exact_through_full_ladder(self, dataset,
+                                                         query, seed):
+        """The pool walks the same ladder as a single device: retries,
+        re-partitions under tightened delta_S, CPU fallbacks."""
+        baseline = run_backend("multi-fpga", dataset, query,
+                               fpga=STRESS_FPGA, num_devices=3)
+        plan = FaultPlan(seed=seed, rates={"kernel_timeout": 0.5},
+                         max_consecutive=6)
+        out = run_backend("multi-fpga", dataset, query, fpga=STRESS_FPGA,
+                          fault_plan=plan,
+                          retry_policy=RetryPolicy(max_retries=2),
+                          num_devices=3)
+        assert out.embeddings == baseline.embeddings
+        health = out.health
+        assert health["degraded"]
+        assert health["retries"] > 0
+        assert health["repartitions"] + health["fallbacks"] > 0
+        # Every partition-level event names the device it ran on.
+        assert {e["device"] for e in health["fault_events"]} <= {0, 1, 2}
+
     def test_happy_path_identical_to_zero_rate_plan(self, dataset):
         off = run_backend("fast-share", dataset)
         zero = run_backend(
@@ -201,7 +238,8 @@ class TestCountsInvariant:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["fast-sep", "fast-share"])
+    @pytest.mark.parametrize("backend",
+                             ["fast-sep", "fast-share", "multi-fpga"])
     def test_same_seed_same_event_log(self, dataset, backend):
         plan = FaultPlan(seed=13)
         a = run_backend(backend, dataset, fault_plan=plan)
@@ -253,6 +291,24 @@ class TestMultiFpgaFailover:
         with pytest.raises(FatalDeviceError, match="no survivor"):
             run_backend("multi-fpga", dataset, fault_plan=plan,
                         num_devices=2)
+
+    def test_dead_single_device_is_fatal(self, dataset):
+        # A single device is the fleet of one: the same exclusion rule
+        # leaves no survivor.
+        plan = FaultPlan(seed=1, dead_devices={0})
+        with pytest.raises(FatalDeviceError, match="no survivor"):
+            run_backend("fast-sep", dataset, fault_plan=plan)
+
+    def test_breaker_open_single_device_is_fatal(self, dataset):
+        class OpenBreaker:
+            def open_devices(self, num_devices):
+                return set(range(num_devices))
+
+        ctx = RunContext(breaker=OpenBreaker())
+        with pytest.raises(FatalDeviceError, match="no survivor"):
+            REGISTRY.get("fast-share").run(
+                ctx, get_query("q0").graph, dataset.graph
+            )
 
 
 class TestHarnessIntegration:

@@ -29,7 +29,6 @@ from repro.runtime.context import RunContext, StageCache
 from repro.runtime.executor import ExecutorConfig, PartitionOutcome
 from repro.runtime.faults import FaultEvent, FaultPlan, HealthReport
 from repro.runtime.journal import (
-    DeviceHealth,
     DeviceHealthLedger,
     RunJournal,
     counters_from_dict,
@@ -39,8 +38,14 @@ from repro.runtime.journal import (
     outcome_to_record,
     report_from_dict,
     report_to_dict,
+    run_fingerprint,
 )
 from repro.runtime.registry import REGISTRY
+from repro.runtime.stages import (
+    build_cst_stage,
+    partition_stage,
+    plan_stage,
+)
 
 #: A device small enough that DG-MICRO runs produce several partitions.
 STRESS_FPGA = FpgaConfig(bram_bytes=8 * 1024, batch_size=128,
@@ -263,7 +268,7 @@ def strip_wall(metrics_dict):
             return {
                 k: clean(v) for k, v in obj.items()
                 if k not in ("wall_seconds", "journaled", "journal_path",
-                             "resumed_partitions", "resumed_devices")
+                             "resumed_partitions")
                 and not k.startswith("pool_")
             }
         return obj
@@ -340,14 +345,16 @@ class TestResumeEquivalence:
                         fpga=STRESS_FPGA,
                         journal=RunJournal(path, resume=True))
 
-    def test_multi_fpga_device_resume(self, dataset, tmp_path):
+    def test_multi_fpga_partition_resume(self, dataset, tmp_path):
         baseline, _ = run_backend("multi-fpga", dataset,
                                   fpga=STRESS_FPGA)
         path = tmp_path / "multi.jsonl"
         _, ctx = run_backend("multi-fpga", dataset, fpga=STRESS_FPGA,
                              journal=RunJournal(path))
         ctx.journal.close()
-        truncate_journal(path, 1)  # one device queue survived the crash
+        records = read_jsonl(path)
+        assert {r["type"] for r in records[1:]} == {"partition"}
+        truncate_journal(path, 3)  # three partitions survived the crash
         resumed, rctx = run_backend(
             "multi-fpga", dataset, fpga=STRESS_FPGA,
             journal=RunJournal(path, resume=True),
@@ -355,8 +362,43 @@ class TestResumeEquivalence:
         rctx.journal.close()
         assert resumed.embeddings == baseline.embeddings
         assert resumed.seconds == baseline.seconds
+        assert strip_wall(resumed.metrics) == strip_wall(baseline.metrics)
         execute = resumed.metrics["stages"]["execute"]
-        assert execute["resumed_devices"] == 1
+        assert execute["resumed_partitions"] == 3
+
+    def test_device_record_journal_is_refused(self, dataset, tmp_path):
+        """A journal in the retired per-device format (one ``device``
+        record per queue, fingerprint pinned to CSTs per device) fails
+        the fingerprint check instead of replaying."""
+        clean, _ = run_backend("multi-fpga", dataset, fpga=STRESS_FPGA)
+        csts = tuple(clean.metrics["stages"]["schedule"]["csts_per_device"])
+        ctx = RunContext(fpga=STRESS_FPGA)
+        ctx.begin_run("multi-fpga")
+        query = get_query("q0").graph
+        plan = plan_stage(ctx, query, dataset.graph)
+        cst = build_cst_stage(ctx, plan, dataset.graph)
+        parts = partition_stage(
+            ctx, dataset.graph, cst, plan,
+            STRESS_FPGA.partition_limits(plan.query),
+        ).fpga_parts
+        old_fingerprint = run_fingerprint(
+            ctx, plan, dataset.graph, "sep",
+            (len(parts), 0, sum(p.size_bytes() for p in parts)),
+            1, False, extra=("multi", 2, csts, (), None),
+        )
+        path = tmp_path / "device.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"type": "header", "version": 1,
+             "fingerprint": old_fingerprint, "backend": "multi-fpga",
+             "num_devices": 2},
+            {"type": "device", "index": 0,
+             "kernel": report_to_dict(clean.raw.devices[0].kernel),
+             "pcie_seconds": clean.raw.devices[0].pcie_seconds,
+             "segments": [], "fetch_seconds": 0.0},
+        )))
+        with pytest.raises(JournalMismatchError):
+            run_backend("multi-fpga", dataset, fpga=STRESS_FPGA,
+                        journal=RunJournal(path, resume=True))
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,16 @@ class TestKillResume:
         )
         assert res == base
 
+    def test_multi_fpga_faulted_seed_bit_identical(self, tmp_path):
+        base, res = kill_resume_case(
+            tmp_path, "multi-fpga", crash_after=9, tight=True,
+            fault_seed=11,
+        )
+        assert res == base
+        # The pool ran the retry ladder, and the resumed run replayed
+        # its events from per-partition records.
+        assert json.loads(base)["health"]["retries"] > 0
+
 
 class TestCliResume:
     """End-to-end ``match --journal`` / ``--resume`` through the CLI."""
@@ -247,6 +257,61 @@ class TestDeadlineCancelResume:
             assert proc.returncode == EXIT_CHILD_DEADLINE
             messages.append(proc.stdout.strip())
         assert messages[0] == messages[1]
+
+    def test_multi_fpga_mid_execute_deadline(self, tmp_path):
+        # The pool checks the same partition-prefix deadline as a single
+        # device: mid-execute, at the same prefix for any worker count,
+        # and the journal left behind resumes bit-identically.
+        journal = tmp_path / "baseline.jsonl"
+        baseline = run_child("multi-fpga", journal, "none", tight=True)
+        assert baseline.returncode == 0, baseline.stderr[-800:]
+        budget = json.loads(baseline.stdout)["modeled_seconds"] * 0.85
+        messages = []
+        for workers in (1, 4):
+            journal = tmp_path / f"w{workers}.jsonl"
+            proc = run_child("multi-fpga", journal, "record", tight=True,
+                             workers=workers, deadline=budget)
+            assert proc.returncode == EXIT_CHILD_DEADLINE, (
+                proc.stderr[-800:]
+            )
+            assert "execute partition prefix" in proc.stdout
+            messages.append(proc.stdout.strip())
+            resumed = run_child("multi-fpga", journal, "resume",
+                                tight=True, workers=workers)
+            assert resumed.returncode == 0, resumed.stderr[-800:]
+            assert resumed.stdout == baseline.stdout
+        assert messages[0] == messages[1]
+
+
+    def test_multi_fpga_deadline_charges_the_makespan(self, tmp_path):
+        # The pool's deadline checks charge the busiest device, as the
+        # execute stage charges the makespan: a budget the run meets
+        # must not cancel it, however far the serial sum of all its
+        # partitions' costs would overshoot the budget.
+        from repro.experiments.harness import (
+            HarnessConfig, make_context, tight_config,
+        )
+        from repro.ldbc.datasets import load_dataset
+        from repro.ldbc.queries import get_query
+        from repro.runtime.registry import REGISTRY
+
+        out = REGISTRY.get("multi-fpga").run(
+            make_context(tight_config(HarnessConfig())),
+            get_query("q1").graph, load_dataset("DG-MINI").graph,
+        )
+        runs = out.raw.devices
+        serial = (out.seconds - out.raw.makespan_seconds
+                  + sum(r.seconds - r.fetch_seconds for r in runs))
+        assert serial > out.seconds
+        budget = (out.seconds + serial) / 2
+        journal = tmp_path / "baseline.jsonl"
+        baseline = run_child("multi-fpga", journal, "none", tight=True)
+        assert baseline.returncode == 0, baseline.stderr[-800:]
+        for workers in (1, 4):
+            proc = run_child("multi-fpga", journal, "none", tight=True,
+                             workers=workers, deadline=budget)
+            assert proc.returncode == 0, proc.stdout + proc.stderr[-800:]
+            assert proc.stdout == baseline.stdout
 
 
 @pytest.mark.slow

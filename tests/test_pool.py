@@ -75,10 +75,7 @@ def missing_segment(x):
 
 
 def cst_digest(cst):
-    """A value that depends on every array of ``cst`` (or of each CST
-    in a tuple), plus whether the task saw shared-memory views."""
-    if isinstance(cst, tuple):
-        return tuple(cst_digest(c) for c in cst)
+    """A value that depends on every array of ``cst``."""
     return (
         tuple(int(c.sum()) for c in cst.candidates),
         tuple(
@@ -107,12 +104,8 @@ def partitions():
 
 
 def cst_tasks(parts):
-    """One single-CST task per partition plus one tuple-of-CSTs task
-    (a multi-FPGA device queue)."""
-    return [
-        *[(cst_task, (i, p)) for i, p in enumerate(parts)],
-        (cst_task, ("queue", tuple(parts[:3]))),
-    ]
+    """One single-CST task per partition."""
+    return [(cst_task, (i, p)) for i, p in enumerate(parts)]
 
 
 def make_pool(**kwargs):
@@ -373,9 +366,9 @@ class TestSupervision:
 
     def test_injected_shm_loss_uses_fallback(self, partitions,
                                              monkeypatch):
-        """Tasks holding a CST or a tuple of CSTs return identical
-        results inline, over shm, after an injected ``shm_unlink``
-        (re-sent pickled), and over pickle when no arena exists."""
+        """Tasks holding a CST return identical results inline, over
+        shm, after an injected ``shm_unlink`` (re-sent pickled), and
+        over pickle when no arena exists."""
         tasks = cst_tasks(partitions)
         inline = run_tasks(tasks)
 
@@ -387,7 +380,7 @@ class TestSupervision:
         finally:
             pool.close()
 
-        last = len(tasks) - 1  # the tuple-of-CSTs task
+        last = len(tasks) - 1
         pool = make_pool(host_faults=quiet_plan(shm_unlink={2: 1,
                                                             last: 1}))
         try:

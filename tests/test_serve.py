@@ -348,6 +348,57 @@ class TestMatchServer:
         )
         assert response["embeddings"] == baseline.embeddings
 
+    def test_dead_single_device_falls_back_to_cpu(self):
+        from dataclasses import replace
+
+        from repro.experiments.harness import make_context
+
+        # A single device is the fleet of one: device 0 dead leaves no
+        # survivor, and the job reroutes to the exact-CPU fallback.
+        config = micro_config(
+            harness=replace(
+                tight_config(),
+                fault_seed=3,
+                fault_rates=(("device_dead", 1.0),),
+            ),
+        )
+        _, responses = serve(config, [request_line("s1")])
+        (response,) = responses
+        assert response["status"] == "DEGRADED"
+        assert response["backend"] == "cfl"
+        assert response["degraded_reason"] == "fatal_device_fallback"
+        baseline = REGISTRY.get("cfl").run(
+            make_context(tight_config()),
+            get_query("q0").graph, load_dataset("DG-MICRO").graph,
+        )
+        assert response["embeddings"] == baseline.embeddings
+
+    @pytest.mark.parametrize("fleet", [None, "u200,u280x2"])
+    def test_multi_fpga_pool_size_matches_backend(self, fleet):
+        from dataclasses import replace
+
+        # Admission, breakers and the backend read the device count
+        # from one source: the harness fleet, else the shared default.
+        server = MatchServer(micro_config(
+            harness=replace(tight_config(), fleet=fleet),
+        ))
+        seen = []
+        feed = server._feed_breaker
+
+        def spy(metrics):
+            seen.append(metrics["health"]["device_status"])
+            feed(metrics)
+
+        server._feed_breaker = spy
+        server.run([request_line("m1", backend="multi-fpga")],
+                   io.StringIO())
+        server.close()
+        (status,) = seen
+        assert sorted(int(k) for k in status) == list(
+            range(server._pool_size())
+        )
+        assert server.admission.num_devices == server._pool_size()
+
     def test_breaker_opens_then_reroutes_following_jobs(self):
         from dataclasses import replace
 
